@@ -350,6 +350,149 @@ mod tests {
         assert_eq!(ts[1].mpi_count(), 0);
     }
 
+    /// Runs `src` on one rank and returns the `count` of every MPI record,
+    /// so each case can observe variable values through `bcast(0, x)`.
+    fn counts(src: &str) -> Vec<i64> {
+        trace(src, 1)[0]
+            .mpi_records()
+            .map(|r| r.params.count)
+            .collect()
+    }
+
+    #[test]
+    fn scoping_follows_lexical_blocks_and_frames() {
+        let cases: &[(&str, &str, &[i64])] = &[
+            (
+                "inner let shadows, outer visible after the block",
+                "fn main() { let x = 1; if true { let x = 2; bcast(0, x); } bcast(0, x); }",
+                &[2, 1],
+            ),
+            (
+                "let re-declared in the same scope",
+                "fn main() { let x = 1; let x = x + 10; bcast(0, x); x = x + 1; bcast(0, x); }",
+                &[11, 12],
+            ),
+            (
+                "assignment in inner blocks reaches the outer binding",
+                "fn main() {
+                    let x = 1;
+                    if true { x = 5; }
+                    for i in 0..3 { x = x + i; }
+                    let j = 0;
+                    while j < 2 { x = x * 2; j = j + 1; }
+                    bcast(0, x);
+                }",
+                &[32],
+            ),
+            (
+                "shadowing a parameter and the loop variable",
+                "fn f(n) { let n = n + 1; bcast(0, n); }
+                 fn main() { for i in 0..2 { let i = i + 7; f(i); bcast(0, i); } }",
+                &[8, 7, 9, 8],
+            ),
+            (
+                "loop variable is fresh on each iteration",
+                "fn main() {
+                    for i in 0..3 { bcast(0, i); i = i + 100; bcast(0, i); }
+                    for k in 0..2 { let y = 5; if k == 0 { y = 6; } bcast(0, y); }
+                }",
+                &[0, 100, 1, 101, 2, 102, 6, 5],
+            ),
+            (
+                "recursion keeps locals isolated per frame",
+                "fn f(n) { let loc = n * 10; if n > 0 { f(n - 1); } bcast(0, loc + n); }
+                 fn sum(n) { let acc = 0; if n > 0 { acc = n + sum(n - 1); } return acc; }
+                 fn main() { let loc = 99; f(3); bcast(0, sum(4)); bcast(0, loc); }",
+                &[0, 11, 22, 33, 10, 99],
+            ),
+        ];
+        for (what, src, want) in cases {
+            assert_eq!(counts(src), *want, "{what}");
+        }
+    }
+
+    #[test]
+    fn step_budget_boundary_is_exact() {
+        // Every statement, expression and loop iteration costs one step.
+        let src = r#"
+            fn twice(n) { return n * 2; }
+            fn main() {
+                let s = 0;
+                for i in 0..4 { s = s + twice(i); }
+                while s > 0 { s = s - 5; }
+                if s < 0 { barrier(); } else { compute(s); }
+            }
+        "#;
+        let p = parse(src).unwrap();
+        check_program(&p).unwrap();
+        let info = analyze_program(&p);
+        let run = |max_steps| {
+            let cfg = InterpConfig {
+                max_steps,
+                ..InterpConfig::default()
+            };
+            trace_program(&p, &info, 1, &cfg)
+        };
+        const N: u64 = 79;
+        assert!(run(N).is_ok());
+        let err = run(N - 1).unwrap_err();
+        assert_eq!(
+            err.0,
+            format!("step budget of {} exhausted (runaway loop?)", N - 1)
+        );
+    }
+
+    #[test]
+    fn unchecked_programs_fail_with_exact_messages() {
+        // Programs the checker rejects still fail at run time, not panic;
+        // run without static info, since the analyzer assumes a checked
+        // program.
+        let info = StaticInfo {
+            cst: cypress_cst::Cst::with_root(),
+            sitemap: cypress_cst::SiteMap::default(),
+        };
+        let cases: &[(&str, &str)] = &[
+            ("fn f() { barrier(); }", "no main function"),
+            ("fn main() { let x = y + 1; }", "undefined variable `y`"),
+            ("fn main(x) { compute(x); }", "undefined variable `x`"),
+            (
+                "fn main() { if true { let a = 1; } compute(a); }",
+                "undefined variable `a`",
+            ),
+            ("fn main() { z = 3; }", "assignment to undefined `z`"),
+            ("fn main() { nope(1); }", "call to undefined `nope`"),
+            (
+                "fn f(a) { } fn main() { f(1, 2); }",
+                "arity mismatch calling `f`",
+            ),
+            (
+                "fn main() { if 1 { barrier(); } }",
+                "expected bool, got Int(1)",
+            ),
+            (
+                "fn main() { let r = isend(0, 8, 0); compute(r); }",
+                "expected int, got Req(1)",
+            ),
+            (
+                "fn main() { for i in 0..3 step 0 { } }",
+                "`for` loop with step 0",
+            ),
+            (
+                "fn main() { let r = isend(0, 8, 0); wait(r); wait(r); }",
+                "wait on unknown/completed request",
+            ),
+            (
+                "fn main() { compute(9223372036854775807 + rank() + 1); }",
+                "integer overflow",
+            ),
+        ];
+        for (src, want) in cases {
+            let p = parse(src).unwrap();
+            let err = trace_program(&p, &info, 1, &InterpConfig::default()).unwrap_err();
+            assert_eq!(err.0, *want, "{src}");
+        }
+    }
+
     #[test]
     fn division_by_zero_caught() {
         let p = parse("fn main() { compute(1 / (rank() - rank())); }").unwrap();

@@ -10,16 +10,22 @@
 //! Request handles are mapped to the GID of their posting operation
 //! (paper §IV-A, Fig. 12): `wait`/`waitall` records carry the posting GIDs
 //! in `params.req_gids`, which lets decompression re-pair them.
+//!
+//! The interpreter walks the resolved form (module `resolved`) of the
+//! program, built once in [`Interp::new`]: variables are frame slots,
+//! callees are function indices and instrumentation sites are array
+//! lookups, so executing a statement neither hashes nor allocates.
 
+use crate::resolved::{Code, Expr, Site, Slot, Stmt, UserCall};
 use cypress_cst::sitemap::{CallAction, PathId, ROOT_PATH};
-use cypress_cst::tree::Arm;
+use cypress_cst::tree::Gid;
 use cypress_cst::StaticInfo;
-use cypress_minilang::ast::*;
+use cypress_minilang::ast::{BinOp, Builtin, NodeId, Program, UnOp};
 use cypress_obs::{Counter, Gauge};
 use cypress_trace::event::{Event, MpiOp, MpiParams, MpiRecord, ANY_SOURCE, NONE};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Interpreter instrumentation handles (scope `interp`), shared by all ranks.
 struct InterpMetrics {
@@ -112,29 +118,39 @@ impl Value {
     }
 }
 
-struct Frame {
-    scopes: Vec<HashMap<String, Value>>,
-    path: PathId,
-}
+/// Arguments a builtin takes without spilling to the heap (`sendrecv`'s
+/// six; only a longer `waitall`/`waitany` spills).
+const ARG_BUF: usize = 6;
 
 /// One rank's interpreter.
 pub struct Interp<'a, S: EventSink> {
-    prog: &'a Program,
-    info: &'a StaticInfo,
+    code: Arc<Code>,
     sink: &'a mut S,
     rank: i64,
     nprocs: i64,
     cfg: InterpConfig,
-    frames: Vec<Frame>,
+    /// Slots of every live frame, innermost frame last.
+    slots: Vec<Value>,
+    /// First slot of the executing frame.
+    base: usize,
+    /// Call path of the executing frame.
+    path: PathId,
+    /// Live MiniMPI frames.
+    depth: usize,
     clock: u64,
     steps: u64,
     next_req: u64,
     /// Live request id → GID of the posting operation.
     req_gids: HashMap<u64, u32>,
     /// Recursion depth per pseudo-loop GID (for Exit-at-outermost).
-    rec_depth: HashMap<u32, u32>,
+    rec_depth: Vec<u32>,
     /// Monotone counter mixed into synthetic op durations.
     op_seq: u64,
+    /// Events handed to the sink; `run` reports it as `interp/events_emitted`.
+    emitted: u64,
+    /// Most requests live at once; `run` reports it as
+    /// `interp/req_table_high_water`.
+    req_high_water: usize,
 }
 
 impl<'a, S: EventSink> Interp<'a, S> {
@@ -147,34 +163,54 @@ impl<'a, S: EventSink> Interp<'a, S> {
         sink: &'a mut S,
     ) -> Self {
         Interp {
-            prog,
-            info,
+            code: Arc::new(Code::resolve(prog, &info.sitemap)),
             sink,
             rank: rank as i64,
             nprocs: nprocs as i64,
             cfg,
-            frames: Vec::new(),
+            slots: Vec::new(),
+            base: 0,
+            path: ROOT_PATH,
+            depth: 0,
             clock: 0,
             steps: 0,
             next_req: 1,
             req_gids: HashMap::new(),
-            rec_depth: HashMap::new(),
+            rec_depth: Vec::new(),
             op_seq: 0,
+            emitted: 0,
+            req_high_water: 0,
         }
     }
 
     /// Run `main` to completion; returns total virtual time (ns).
     pub fn run(&mut self) -> RunResult<u64> {
-        let main = self
-            .prog
-            .main()
-            .ok_or_else(|| RuntimeError("no main function".into()))?;
-        self.frames.push(Frame {
-            scopes: vec![HashMap::new()],
-            path: ROOT_PATH,
-        });
+        let r = self.run_main();
+        // Telemetry is flushed once per run, not per event.
+        if cypress_obs::enabled() && self.emitted > 0 {
+            obs().events_emitted.add(self.emitted);
+            if self.req_high_water > 0 {
+                obs()
+                    .req_table_high_water
+                    .set_max(self.req_high_water as i64);
+            }
+        }
+        self.emitted = 0;
+        r
+    }
+
+    fn run_main(&mut self) -> RunResult<u64> {
+        let code = Arc::clone(&self.code);
+        let main = &code.funcs[code
+            .main
+            .ok_or_else(|| RuntimeError("no main function".into()))?];
+        self.slots.clear();
+        self.slots.resize(main.nslots, Value::Int(0));
+        self.base = 0;
+        self.path = ROOT_PATH;
+        self.depth = 1;
         self.exec_block(&main.body)?;
-        self.frames.pop();
+        self.depth = 0;
         if !self.req_gids.is_empty() {
             return Err(RuntimeError(format!(
                 "{} request(s) never completed (missing wait)",
@@ -184,6 +220,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
         Ok(self.clock)
     }
 
+    #[inline]
     fn tick(&mut self) -> RunResult<()> {
         self.steps += 1;
         if self.steps > self.cfg.max_steps {
@@ -195,52 +232,16 @@ impl<'a, S: EventSink> Interp<'a, S> {
         Ok(())
     }
 
-    fn frame(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("frame stack never empty")
+    fn slot(&mut self, slot: Slot) -> &mut Value {
+        &mut self.slots[self.base + slot as usize]
     }
 
-    fn path(&self) -> PathId {
-        self.frames.last().expect("frame stack never empty").path
-    }
-
-    fn lookup(&self, name: &str) -> RunResult<Value> {
-        let f = self.frames.last().expect("frame stack never empty");
-        for scope in f.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Ok(*v);
-            }
-        }
-        Err(RuntimeError(format!("undefined variable `{name}`")))
-    }
-
-    fn assign(&mut self, name: &str, v: Value) -> RunResult<()> {
-        let f = self.frames.last_mut().expect("frame stack never empty");
-        for scope in f.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = v;
-                return Ok(());
-            }
-        }
-        Err(RuntimeError(format!("assignment to undefined `{name}`")))
-    }
-
-    fn declare(&mut self, name: &str, v: Value) {
-        self.frame()
-            .scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.to_owned(), v);
+    fn site(&self, node: NodeId) -> Site {
+        *self.code.sites.get(self.path, node)
     }
 
     /// Execute a block; `Ok(Some(v))` signals a `return`.
-    fn exec_block(&mut self, b: &Block) -> RunResult<Option<Value>> {
-        self.frame().scopes.push(HashMap::new());
-        let r = self.exec_stmts(&b.stmts);
-        self.frame().scopes.pop();
-        r
-    }
-
-    fn exec_stmts(&mut self, stmts: &[Stmt]) -> RunResult<Option<Value>> {
+    fn exec_block(&mut self, stmts: &[Stmt]) -> RunResult<Option<Value>> {
         for s in stmts {
             if let Some(v) = self.exec_stmt(s)? {
                 return Ok(Some(v));
@@ -251,41 +252,40 @@ impl<'a, S: EventSink> Interp<'a, S> {
 
     fn exec_stmt(&mut self, s: &Stmt) -> RunResult<Option<Value>> {
         self.tick()?;
-        match &s.kind {
-            StmtKind::Let { name, init } => {
-                let v = self.eval(init)?;
-                self.declare(name, v);
-                Ok(None)
-            }
-            StmtKind::Assign { name, value } => {
+        match s {
+            Stmt::Store { slot, value } => {
                 let v = self.eval(value)?;
-                self.assign(name, v)?;
+                *self.slot(*slot) = v;
                 Ok(None)
             }
-            StmtKind::Expr { expr } => {
+            Stmt::StoreUndefined { name, value } => {
+                self.eval(value)?;
+                Err(RuntimeError(format!("assignment to undefined `{name}`")))
+            }
+            Stmt::Expr(expr) => {
                 self.eval(expr)?;
                 Ok(None)
             }
-            StmtKind::Return { value } => {
+            Stmt::Return(value) => {
                 let v = match value {
                     Some(e) => self.eval(e)?,
                     None => Value::Int(0),
                 };
                 Ok(Some(v))
             }
-            StmtKind::If {
+            Stmt::If {
+                id,
                 cond,
                 then_blk,
                 else_blk,
             } => {
                 let taken = self.eval(cond)?.as_bool()?;
-                let path = self.path();
-                let (blk, arm) = if taken {
-                    (Some(then_blk), Arm::Then)
+                let site = self.site(*id);
+                let (blk, gid) = if taken {
+                    (Some(then_blk), site.gid)
                 } else {
-                    (else_blk.as_ref(), Arm::Else)
+                    (else_blk.as_ref(), site.else_gid)
                 };
-                let gid = self.info.sitemap.branch_gid(path, s.id, arm);
                 if let Some(g) = gid {
                     self.emit(Event::Enter { gid: g.0 });
                 }
@@ -298,7 +298,8 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 }
                 Ok(r)
             }
-            StmtKind::For {
+            Stmt::For {
+                id,
                 var,
                 start,
                 end,
@@ -314,7 +315,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 if step == 0 {
                     return Err(RuntimeError("`for` loop with step 0".into()));
                 }
-                let gid = self.info.sitemap.loop_gid(self.path(), s.id);
+                let gid = self.site(*id).gid;
                 let mut i = start;
                 let mut ret = None;
                 while (step > 0 && i < end) || (step < 0 && i > end) {
@@ -322,11 +323,9 @@ impl<'a, S: EventSink> Interp<'a, S> {
                     if let Some(g) = gid {
                         self.emit(Event::Enter { gid: g.0 });
                     }
-                    self.frame().scopes.push(HashMap::new());
-                    self.declare(var, Value::Int(i));
-                    let r = self.exec_stmts(&body.stmts);
-                    self.frame().scopes.pop();
-                    if let Some(v) = r? {
+                    // Each iteration binds a fresh loop variable.
+                    *self.slot(*var) = Value::Int(i);
+                    if let Some(v) = self.exec_block(body)? {
                         ret = Some(v);
                         break;
                     }
@@ -337,8 +336,8 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 }
                 Ok(ret)
             }
-            StmtKind::While { cond, body } => {
-                let gid = self.info.sitemap.loop_gid(self.path(), s.id);
+            Stmt::While { id, cond, body } => {
+                let gid = self.site(*id).gid;
                 let mut ret = None;
                 while self.eval(cond)?.as_bool()? {
                     self.tick()?;
@@ -360,11 +359,12 @@ impl<'a, S: EventSink> Interp<'a, S> {
 
     fn eval(&mut self, e: &Expr) -> RunResult<Value> {
         self.tick()?;
-        match &e.kind {
-            ExprKind::Int(v) => Ok(Value::Int(*v)),
-            ExprKind::Bool(v) => Ok(Value::Bool(*v)),
-            ExprKind::Var(n) => self.lookup(n),
-            ExprKind::Unary(op, inner) => {
+        match e {
+            Expr::Int(v) => Ok(Value::Int(*v)),
+            Expr::Bool(v) => Ok(Value::Bool(*v)),
+            Expr::Var(slot) => Ok(*self.slot(*slot)),
+            Expr::Undefined(name) => Err(RuntimeError(format!("undefined variable `{name}`"))),
+            Expr::Unary(op, inner) => {
                 let v = self.eval(inner)?;
                 match op {
                     UnOp::Neg => Ok(Value::Int(
@@ -375,8 +375,9 @@ impl<'a, S: EventSink> Interp<'a, S> {
                     UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
                 }
             }
-            ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r),
-            ExprKind::Call(c) => self.eval_call(e, c),
+            Expr::Binary(op, operands) => self.eval_binary(*op, &operands.0, &operands.1),
+            Expr::Builtin { id, op, args } => self.eval_builtin(*id, *op, args),
+            Expr::Call(call) => self.call_user(call),
         }
     }
 
@@ -426,39 +427,27 @@ impl<'a, S: EventSink> Interp<'a, S> {
         }
     }
 
-    fn eval_call(&mut self, e: &Expr, c: &Call) -> RunResult<Value> {
-        match &c.callee {
-            Callee::User(name) => {
-                let args: Vec<Value> = c
-                    .args
-                    .iter()
-                    .map(|a| self.eval(a))
-                    .collect::<RunResult<_>>()?;
-                self.call_user(name, e.id, args)
-            }
-            Callee::Builtin(b) => self.eval_builtin(e, *b, c),
+    fn call_user(&mut self, call: &UserCall) -> RunResult<Value> {
+        // Arguments are evaluated in the caller's frame straight into what
+        // become the callee's first slots.
+        let base = self.slots.len();
+        for a in call.args.iter() {
+            let v = self.eval(a)?;
+            self.slots.push(v);
         }
-    }
-
-    fn call_user(&mut self, name: &str, call_expr: NodeId, args: Vec<Value>) -> RunResult<Value> {
-        let fidx = self
-            .prog
-            .func_index(name)
-            .ok_or_else(|| RuntimeError(format!("call to undefined `{name}`")))?;
-        let func = &self.prog.funcs[fidx];
-        if func.params.len() != args.len() {
-            return Err(RuntimeError(format!("arity mismatch calling `{name}`")));
-        }
+        let fidx = *call
+            .callee
+            .as_ref()
+            .map_err(|msg| RuntimeError(msg.clone()))?;
         // The interpreter recurses natively per MiniMPI frame (~a dozen
         // native frames each); the driver gives it a 64 MiB stack, which
         // comfortably fits this guard even in debug builds.
-        if self.frames.len() > 2_000 {
+        if self.depth > 2_000 {
             return Err(RuntimeError("call stack overflow".into()));
         }
 
-        let cur_path = self.path();
-        let action = self.info.sitemap.call_action(cur_path, call_expr);
-        let (new_path, enter_pseudo, exit_pseudo) = match action {
+        let cur_path = self.path;
+        let (new_path, enter_pseudo, exit_pseudo) = match self.site(call.id).action {
             None => (cur_path, None, None),
             Some(CallAction::Inline { path }) => (path, None, None),
             Some(CallAction::EnterRecursive { pseudo, path }) => {
@@ -470,40 +459,41 @@ impl<'a, S: EventSink> Interp<'a, S> {
             Some(CallAction::BackCall { pseudo, path }) => (path, pseudo, None),
         };
         if let Some(g) = enter_pseudo {
-            let d = self.rec_depth.entry(g.0).or_insert(0);
-            *d += 1;
+            *self.rec_depth_mut(g) += 1;
             self.emit(Event::Enter { gid: g.0 });
         }
 
-        let mut scope = HashMap::new();
-        for (p, v) in func.params.iter().zip(args) {
-            scope.insert(p.clone(), v);
-        }
-        self.frames.push(Frame {
-            scopes: vec![scope],
-            path: new_path,
-        });
+        let code = Arc::clone(&self.code);
+        let func = &code.funcs[fidx];
+        self.slots.resize(base + func.nslots, Value::Int(0));
+        let caller_base = std::mem::replace(&mut self.base, base);
+        self.path = new_path;
+        self.depth += 1;
         let ret = self.exec_block(&func.body);
-        self.frames.pop();
+        self.depth -= 1;
+        self.path = cur_path;
+        self.base = caller_base;
+        self.slots.truncate(base);
         let ret = ret?;
 
         if let Some(g) = enter_pseudo {
-            let d = self
-                .rec_depth
-                .get_mut(&g.0)
-                .expect("depth incremented on entry");
+            let d = self.rec_depth_mut(g);
             *d -= 1;
-            let depth_now = *d;
-            if depth_now == 0 {
-                self.rec_depth.remove(&g.0);
-            }
             // Only the outermost EnterRecursive emits the Exit; BackCall
             // invocations (exit_pseudo == None) never do.
-            if exit_pseudo.is_some() && depth_now == 0 {
+            if exit_pseudo.is_some() && *d == 0 {
                 self.emit(Event::Exit { gid: g.0 });
             }
         }
         Ok(ret.unwrap_or(Value::Int(0)))
+    }
+
+    fn rec_depth_mut(&mut self, pseudo: Gid) -> &mut u32 {
+        let i = pseudo.0 as usize;
+        if i >= self.rec_depth.len() {
+            self.rec_depth.resize(i + 1, 0);
+        }
+        &mut self.rec_depth[i]
     }
 
     /// Synthetic duration for an MPI operation: overhead + size term + a
@@ -526,18 +516,8 @@ impl<'a, S: EventSink> Interp<'a, S> {
     /// Single funnel for all sink events, so the interpreter can account for
     /// its own emission volume (`interp/events_emitted`).
     fn emit(&mut self, ev: Event) {
-        if cypress_obs::enabled() {
-            obs().events_emitted.inc();
-        }
+        self.emitted += 1;
         self.sink.event(ev);
-    }
-
-    fn note_req_high_water(&self) {
-        if cypress_obs::enabled() {
-            obs()
-                .req_table_high_water
-                .set_max(self.req_gids.len() as i64);
-        }
     }
 
     fn record(&mut self, gid: u32, op: MpiOp, params: MpiParams) {
@@ -554,19 +534,27 @@ impl<'a, S: EventSink> Interp<'a, S> {
         self.emit(Event::Mpi(rec));
     }
 
-    fn eval_builtin(&mut self, e: &Expr, b: Builtin, c: &Call) -> RunResult<Value> {
+    fn eval_builtin(&mut self, id: NodeId, b: Builtin, arg_exprs: &[Expr]) -> RunResult<Value> {
         // Evaluate arguments first (left to right), as the checker promises.
-        let mut args: Vec<Value> = Vec::with_capacity(c.args.len());
-        for a in &c.args {
-            args.push(self.eval(a)?);
-        }
+        let mut buf = [Value::Int(0); ARG_BUF];
+        let mut spill = Vec::new();
+        let args: &[Value] = if arg_exprs.len() <= ARG_BUF {
+            for (v, a) in buf.iter_mut().zip(arg_exprs) {
+                *v = self.eval(a)?;
+            }
+            &buf[..arg_exprs.len()]
+        } else {
+            for a in arg_exprs {
+                spill.push(self.eval(a)?);
+            }
+            &spill
+        };
         let int = |i: usize| -> RunResult<i64> { args[i].as_int() };
-        let gid = self
-            .info
-            .sitemap
-            .mpi_gid(self.path(), e.id)
-            .map(|g| g.0)
-            .unwrap_or(0);
+        let gid = if b.is_mpi_op() {
+            self.site(id).gid.map_or(0, |g| g.0)
+        } else {
+            0
+        };
 
         match b {
             Builtin::Rank => Ok(Value::Int(self.rank)),
@@ -606,7 +594,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 let req = self.next_req;
                 self.next_req += 1;
                 self.req_gids.insert(req, gid);
-                self.note_req_high_water();
+                self.req_high_water = self.req_high_water.max(self.req_gids.len());
                 self.record(gid, MpiOp::Isend, MpiParams::send(dest, count, tag));
                 Ok(Value::Req(req))
             }
@@ -616,7 +604,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 let req = self.next_req;
                 self.next_req += 1;
                 self.req_gids.insert(req, gid);
-                self.note_req_high_water();
+                self.req_high_water = self.req_high_water.max(self.req_gids.len());
                 self.record(gid, MpiOp::Irecv, MpiParams::recv(src, count, tag));
                 Ok(Value::Req(req))
             }
@@ -631,7 +619,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
             }
             Builtin::Waitall => {
                 let mut gids = Vec::with_capacity(args.len());
-                for a in &args {
+                for a in args {
                     let req = a.as_req()?;
                     let post_gid = self.req_gids.remove(&req).ok_or_else(|| {
                         RuntimeError("waitall on unknown/completed request".into())
@@ -649,7 +637,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 // records the completed request's posting GID so replay can
                 // re-pair it.
                 let mut completed = None;
-                for a in &args {
+                for a in args {
                     let req = a.as_req()?;
                     if let Some(post_gid) = self.req_gids.remove(&req) {
                         completed = Some(post_gid);

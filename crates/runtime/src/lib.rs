@@ -14,6 +14,7 @@
 pub mod driver;
 pub mod ingest;
 pub mod interp;
+mod resolved;
 pub mod ring;
 pub mod sched;
 

@@ -46,9 +46,9 @@
 use cypress::analysis::{AnalyzeOptions, DiffReport, JobSummary};
 use cypress::core::{
     compress_trace, decompress, merge_all_parallel, CompressConfig, CompressSession, MergedCtt,
-    SessionConfig,
+    MergedVertex, SessionConfig, VertexData,
 };
-use cypress::cst::{analyze_program, Cst, StaticInfo};
+use cypress::cst::{analyze_program, Cst, StaticInfo, VertexKind};
 use cypress::deflate::Level as ZLevel;
 use cypress::minilang::{check_program, parse, Program};
 use cypress::net::{
@@ -598,8 +598,15 @@ fn cmd_decompress(args: &[String]) -> CliResult {
             Error::Invalid("missing --cst <cst.txt> (not a container file)".into())
         })?;
         let merged = MergedCtt::from_bytes(&bytes)?;
+        if rank >= merged.nprocs {
+            return Err(Error::Invalid(format!(
+                "rank {rank} out of 0..{}",
+                merged.nprocs
+            )));
+        }
         let cst_text = fs::read_to_string(&cst_path)?;
         let cst = Cst::from_text(&cst_text)?;
+        check_dump_shape(&merged, &cst)?;
         let ctt = merged.extract_rank(rank, &cst);
         decompress(&cst, &ctt)
     };
@@ -632,6 +639,41 @@ fn cmd_decompress(args: &[String]) -> CliResult {
             fields.join(" "),
             o.mean_dur
         );
+    }
+    Ok(())
+}
+
+/// A bare dump carries no CST, so the one given with `--cst` must have the
+/// dump's shape: one vertex per merged vertex, each of a matching kind.
+fn check_dump_shape(merged: &MergedCtt, cst: &Cst) -> cypress::Result<()> {
+    if merged.vertices.len() != cst.len() {
+        return Err(Error::Invalid(format!(
+            "--cst has {} vertices but the dump has {}",
+            cst.len(),
+            merged.vertices.len()
+        )));
+    }
+    for (gid, mv) in merged.vertices.iter().enumerate() {
+        let kind = &cst.vertex(gid).kind;
+        let fits = match mv {
+            MergedVertex::Empty => true,
+            MergedVertex::Leaf(_) => {
+                matches!(kind, VertexKind::Mpi { .. } | VertexKind::UserCall { .. })
+            }
+            MergedVertex::Control(groups) => groups.iter().all(|(_, d)| {
+                matches!(
+                    (d, kind),
+                    (VertexData::Root, VertexKind::Root)
+                        | (VertexData::Loop { .. }, VertexKind::Loop { .. })
+                        | (VertexData::Branch { .. }, VertexKind::Branch { .. })
+                )
+            }),
+        };
+        if !fits {
+            return Err(Error::Invalid(format!(
+                "--cst vertex {gid} does not match the dump's vertex kind"
+            )));
+        }
     }
     Ok(())
 }

@@ -262,3 +262,71 @@ fn bad_input_fails_cleanly() {
     let out = cypress().arg("nonsense").output().expect("run");
     assert!(!out.status.success());
 }
+
+#[test]
+fn bare_dump_rejects_bad_rank_and_mismatched_cst() {
+    let dir = tmpdir("bare-dump");
+    let prog = write_program(&dir);
+    let merged = dir.join("ring.ctt");
+    let out = cypress()
+        .args(["compress"])
+        .arg(&prog)
+        .args(["-n", "16", "-o"])
+        .arg(&merged)
+        .output()
+        .expect("run compress");
+    assert!(out.status.success());
+    let other = dir.join("tiny.mpi");
+    fs::write(&other, "fn main() { barrier(); }").unwrap();
+    let other_dump = dir.join("tiny.ctt");
+    let out = cypress()
+        .args(["compress"])
+        .arg(&other)
+        .args(["-n", "2", "-o"])
+        .arg(&other_dump)
+        .output()
+        .expect("run compress");
+    assert!(out.status.success());
+
+    let decompress = |dump: &std::path::Path, cst: &std::path::Path, rank: &str| {
+        let out = cypress()
+            .arg("decompress")
+            .arg(dump)
+            .arg("--cst")
+            .arg(cst)
+            .args(["-r", rank])
+            .output()
+            .expect("run decompress");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = decompress(&merged, &dir.join("ring.ctt.cst"), "99");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("rank 99 out of 0..16"), "{stderr}");
+    // A CST from another program, smaller and larger than the dump's.
+    for (dump, cst) in [(&merged, "tiny.ctt.cst"), (&other_dump, "ring.ctt.cst")] {
+        let (code, stderr) = decompress(dump, &dir.join(cst), "0");
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.contains("--cst has"), "{stderr}");
+    }
+    // Same vertex count as the ring's CST, different kinds.
+    let flat = dir.join("flat.mpi");
+    fs::write(
+        &flat,
+        "fn main() { barrier(); barrier(); barrier(); barrier(); barrier(); }",
+    )
+    .unwrap();
+    let out = cypress()
+        .args(["compress"])
+        .arg(&flat)
+        .args(["-n", "2", "-o"])
+        .arg(dir.join("flat.ctt"))
+        .output()
+        .expect("run compress");
+    assert!(out.status.success());
+    let (code, stderr) = decompress(&merged, &dir.join("flat.ctt.cst"), "0");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("does not match"), "{stderr}");
+}
