@@ -26,6 +26,7 @@
 //! * **Cross-job diffing** ([`DiffReport`]): two jobs' query results and
 //!   predictions side by side with signed deltas — "did this comm pattern
 //!   change between versions?".
+#![forbid(unsafe_code)]
 
 mod diff;
 mod lower;

@@ -13,6 +13,7 @@
 //!   ratios on irregular codes, partially lossy ordering.
 //!
 //! The Gzip baseline lives in `cypress-deflate`.
+#![forbid(unsafe_code)]
 
 pub mod scalatrace;
 pub mod scalatrace2;

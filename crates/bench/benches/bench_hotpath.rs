@@ -11,22 +11,18 @@
 //!   realistic corpus (a container image), plus the achieved ratio.
 //! * **end_to_end** — wall time of the whole streaming pipeline (run +
 //!   merge + leveled parallel container write) per workload.
-//! * **e2e_ingest** — generation + compression events/sec, sequential
-//!   (interpreter and session in lockstep) vs pipelined (SPSC rings +
-//!   consumer thread) at 8 workers, with CTT byte-identity asserted. The
-//!   pipelined win is concurrency between generation and compression, so it
-//!   scales with physical cores; on a single-core host the two series are
-//!   expected to tie (the ring only adds hand-off cost it then wins back).
+//! * **e2e_ingest** — generation + compression events/sec with interpreter
+//!   and session in lockstep on 8 workers (`Ingest::Sequential`).
 //!
 //! Throughput figures (`*_events_per_sec`, `mb_per_sec`, `batch_speedup`)
 //! are min-over-samples — the repo-wide convention for noise-resistant
 //! comparisons — while the `*_ns` fields report the mean. The perf gate in
 //! `scripts/check.sh` diffs the min-derived series.
 //!
-//! JSON schema (`bench_hotpath/v2`):
+//! JSON schema (`bench_hotpath/v3`):
 //!
 //! ```json
-//! { "schema": "bench_hotpath/v2",
+//! { "schema": "bench_hotpath/v3",
 //!   "ingest": [ { "name": "...", "nprocs": 8, "events": 123,
 //!     "push_ns": 1.0, "batch_ns": 1.0,
 //!     "push_events_per_sec": 1.0e6, "batch_events_per_sec": 1.5e6,
@@ -37,9 +33,7 @@
 //!   "end_to_end": [ { "name": "...", "nprocs": 8, "wall_ns": 1.0,
 //!     "events_per_sec": 1.0e6 } ],
 //!   "e2e_ingest": [ { "name": "...", "nprocs": 8, "events": 123,
-//!     "seq_ns": 1.0, "pipe_ns": 1.0,
-//!     "seq_events_per_sec": 1.0e6, "pipe_events_per_sec": 1.0e6,
-//!     "pipe_speedup": 1.0, "identical_ctt_bytes": true } ] }
+//!     "seq_ns": 1.0, "seq_events_per_sec": 1.0e6 } ] }
 //! ```
 
 use cypress_bench::harness;
@@ -47,10 +41,7 @@ use cypress_core::{
     compress_trace, merge_all, merge_all_parallel, CompressConfig, CompressSession, SessionConfig,
 };
 use cypress_deflate::{deflate, Level};
-use cypress_runtime::{
-    run_rank_with_sink, run_ranks, run_ranks_pipelined, InterpConfig, DEFAULT_BATCH_EVENTS,
-    DEFAULT_RING_CAPACITY,
-};
+use cypress_runtime::{run_rank_with_sink, run_ranks, InterpConfig};
 use cypress_trace::codec::Codec;
 use cypress_trace::{assemble, encode_section, Container, SectionKind};
 use cypress_workloads::{by_name, quick_procs, Scale};
@@ -207,7 +198,7 @@ struct EndToEndRow {
 
 /// Whole pipeline: interpret every rank into an online session, merge on
 /// the pool, and persist a leveled container with parallel per-section
-/// encoding — the same hot path `cypress compress --stream --level default`
+/// encoding — the same hot path `cypress compress --level default`
 /// takes, driven through the subcrates.
 fn bench_end_to_end(name: &str, dir: &std::path::Path) -> EndToEndRow {
     let nprocs = quick_procs(name);
@@ -256,15 +247,11 @@ struct E2eIngestRow {
     nprocs: u32,
     events: u64,
     seq_ns: f64,
-    pipe_ns: f64,
     seq_min_ns: f64,
-    pipe_min_ns: f64,
-    identical: bool,
 }
 
-/// Generation + compression, sequential vs pipelined, both at 8 workers —
-/// the interpreter→session boundary is the only difference between the two
-/// runs, so the ratio isolates what the SPSC rings buy (or cost).
+/// Generation + compression at 8 workers, interpreter and session in
+/// lockstep on each worker.
 fn bench_e2e_ingest(name: &str) -> E2eIngestRow {
     let nprocs = quick_procs(name);
     let w = by_name(name, nprocs, Scale::Quick).unwrap();
@@ -290,44 +277,13 @@ fn bench_e2e_ingest(name: &str) -> E2eIngestRow {
         events.set(per_rank.iter().map(|(_, st)| st.events).sum());
         per_rank.into_iter().map(|(ctt, _)| ctt).collect::<Vec<_>>()
     };
-    let run_pipe = || {
-        run_ranks_pipelined(
-            nprocs,
-            pool,
-            DEFAULT_RING_CAPACITY,
-            DEFAULT_BATCH_EVENTS,
-            |rank, sink| run_rank_with_sink(&prog, &info, rank, nprocs, &icfg, sink),
-            |rank| {
-                CompressSession::new(
-                    &info.cst,
-                    rank,
-                    nprocs,
-                    ccfg.clone(),
-                    SessionConfig::default(),
-                )
-            },
-            |s, batch| s.push_batch(batch),
-            |s, app_time| s.finish(app_time).0,
-        )
-        .expect("pipelined run failed")
-    };
-
-    let a = run_seq();
-    let b = run_pipe();
-    let identical =
-        a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| x.to_bytes() == y.to_bytes());
-
     let seq = harness::run(&format!("hotpath/e2e_ingest/{name}/sequential"), run_seq);
-    let pipe = harness::run(&format!("hotpath/e2e_ingest/{name}/pipelined"), run_pipe);
     E2eIngestRow {
         name: name.to_owned(),
         nprocs,
         events: events.get(),
         seq_ns: seq.mean_ns,
-        pipe_ns: pipe.mean_ns,
         seq_min_ns: seq.min_ns,
-        pipe_min_ns: pipe.min_ns,
-        identical,
     }
 }
 
@@ -356,7 +312,7 @@ fn main() {
     };
     let fast_vs_default = mbps("fast") / mbps("default").max(1e-9);
 
-    let mut json = String::from("{\"schema\":\"bench_hotpath/v2\",\"ingest\":[");
+    let mut json = String::from("{\"schema\":\"bench_hotpath/v3\",\"ingest\":[");
     for (i, r) in ingest.iter().enumerate() {
         if i > 0 {
             json.push(',');
@@ -412,18 +368,12 @@ fn main() {
         }
         json.push_str(&format!(
             "{{\"name\":\"{}\",\"nprocs\":{},\"events\":{},\
-             \"seq_ns\":{:.1},\"pipe_ns\":{:.1},\
-             \"seq_events_per_sec\":{:.1},\"pipe_events_per_sec\":{:.1},\
-             \"pipe_speedup\":{:.4},\"identical_ctt_bytes\":{}}}",
+             \"seq_ns\":{:.1},\"seq_events_per_sec\":{:.1}}}",
             r.name,
             r.nprocs,
             r.events,
             r.seq_ns,
-            r.pipe_ns,
             r.events as f64 / (r.seq_min_ns / 1e9),
-            r.events as f64 / (r.pipe_min_ns / 1e9),
-            r.seq_min_ns / r.pipe_min_ns.max(1.0),
-            r.identical,
         ));
     }
     json.push_str("]}\n");
@@ -442,14 +392,5 @@ fn main() {
     assert!(
         broken.is_empty(),
         "push and push_batch CTT encodings diverged for: {broken:?}"
-    );
-    let broken: Vec<_> = e2e_ingest
-        .iter()
-        .filter(|r| !r.identical)
-        .map(|r| r.name.as_str())
-        .collect();
-    assert!(
-        broken.is_empty(),
-        "pipelined and sequential CTT encodings diverged for: {broken:?}"
     );
 }

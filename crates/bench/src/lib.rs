@@ -11,6 +11,7 @@
 //! All overhead timings go through `cypress-obs` stopwatches and size
 //! histograms under the `bench` scope, so the Fig. 16/18 CSV columns and
 //! the `--metrics` report are two views of one measurement path.
+#![forbid(unsafe_code)]
 
 use cypress_baselines::{
     Scala2Config, Scala2Merged, Scala2Trace, ScalaConfig, ScalaMerged, ScalaTrace,

@@ -28,6 +28,7 @@
 //! // Decompression preserves the exact sequence.
 //! assert_eq!(decompress(&info.cst, &ctts[3]).len(), 100);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod compress;
 pub mod ctt;

@@ -27,6 +27,7 @@
 //!     "Root(Loop(BrT(Mpi:MPI_Send) BrE(Mpi:MPI_Recv)))"
 //! );
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod build_ast;
 pub mod build_cfg;

@@ -15,6 +15,7 @@
 //! assert!(z.len() < data.len() / 4);
 //! assert_eq!(gzip_decompress(&z).unwrap(), data);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod bitio;
 pub mod crc32;

@@ -23,6 +23,7 @@
 //! check_program(&prog).unwrap();
 //! assert_eq!(prog.funcs.len(), 1);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod error;

@@ -34,6 +34,7 @@
 //! assert!(report.to_text().contains("leaf_fold_hits"));
 //! cypress_obs::set_enabled(false);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod fsio;
 pub mod log;

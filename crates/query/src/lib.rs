@@ -42,6 +42,7 @@
 //! reference ([`query_by_decompression`]) across the bundled workloads and
 //! the random-program suite (`tests/query_equivalence.rs`,
 //! `tests/random_programs.rs` in the umbrella crate).
+#![forbid(unsafe_code)]
 
 mod accum;
 mod container;

@@ -11,6 +11,7 @@
 //! feed decompressed traces whose compute gaps come from the compressed
 //! statistics — the difference between the two is the prediction error the
 //! paper reports (Fig. 21).
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod model;

@@ -5,6 +5,7 @@
 //! computes dominator trees and natural loops with the classic algorithms the
 //! paper cites, and constructs the program call graph (with SCC-based
 //! recursion detection) that drives the inter-procedural CST construction.
+#![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod cfg;

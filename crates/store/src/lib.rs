@@ -21,6 +21,7 @@
 //!
 //! Evicted jobs are only *unpinned*: readers holding an `Arc<StoreJob>`
 //! keep a valid handle; memory is reclaimed when the last clone drops.
+#![forbid(unsafe_code)]
 
 mod client;
 mod job;

@@ -483,11 +483,6 @@ pub fn assemble(nprocs: u32, encoded: &[EncodedSection]) -> Vec<u8> {
     out
 }
 
-/// Does this byte prefix look like a container file?
-pub fn is_container(prefix: &[u8]) -> bool {
-    prefix.len() >= 4 && prefix[..4] == CONTAINER_MAGIC
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,7 +518,6 @@ mod tests {
             Container::from_bytes(&bytes),
             Err(ContainerError::BadMagic)
         ));
-        assert!(!is_container(&bytes));
         assert!(matches!(
             Container::from_bytes(b"CY"),
             Err(ContainerError::BadMagic)

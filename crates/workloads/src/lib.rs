@@ -9,6 +9,7 @@
 //! parameter variability across ranks and iterations — with iteration
 //! counts scaled for laptop runs ([`Scale::Quick`]) or paper-shaped runs
 //! ([`Scale::Paper`]).
+#![forbid(unsafe_code)]
 
 pub mod jacobi;
 pub mod leslie3d;

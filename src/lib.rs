@@ -24,6 +24,7 @@
 //! collection (the `cypress serve` / `cypress submit` daemon pair) lives in
 //! [`collect`] atop the [`net`](cypress_net) subcrate. See `README.md` for
 //! the architecture and `DESIGN.md` for the per-experiment index.
+#![forbid(unsafe_code)]
 
 pub mod collect;
 pub mod error;

@@ -25,29 +25,21 @@
 //! * [`Ingest::Sequential`] (default) — each rank's interpreter feeds a
 //!   [`CompressSession`] event-by-event on a work-stealing worker pool, so
 //!   the raw trace never materializes — the paper's online PMPI deployment.
-//! * [`Ingest::Pipelined`] — same online compression, but generation and
-//!   compression are decoupled by a bounded SPSC ring per rank
-//!   ([`cypress_runtime::ring`]): interpreters produce event batches while a
-//!   consumer thread drains every rank's ring into its session.
 //! * [`Ingest::Batch`] — record raw traces first, then compress; linearly
-//!   growing memory, kept as the offline baseline.
+//!   growing memory, kept as the offline reference.
 //!
-//! All three produce byte-identical CTTs (pinned by `tests/streaming.rs`
-//! and `tests/pipelined.rs`).
+//! Both produce byte-identical CTTs (pinned by `tests/streaming.rs`).
 
 use crate::error::{Error, Result};
 use cypress_core::{
     compress_trace, decompress, merge_all_parallel, CompressConfig, CompressSession, Ctt,
-    MergedCtt, ReplayOp, SessionConfig, SessionStats,
+    MergedCtt, MergedVertex, ReplayOp, SessionConfig, SessionStats, VertexData,
 };
-use cypress_cst::{analyze_program, Cst, StaticInfo};
+use cypress_cst::{analyze_program, Cst, StaticInfo, VertexKind};
 use cypress_deflate::Level;
 use cypress_minilang::{check_program, parse};
 use cypress_query::{query_ctts, query_merged, QueryOptions, QueryResult};
-use cypress_runtime::{
-    run_rank_with_sink, run_ranks, run_ranks_pipelined, trace_program_parallel, InterpConfig,
-    DEFAULT_BATCH_EVENTS, DEFAULT_RING_CAPACITY,
-};
+use cypress_runtime::{run_rank_with_sink, run_ranks, trace_program_parallel, InterpConfig};
 use cypress_trace::{
     assemble, encode_section, Codec, Container, ContainerError, Decoder, EncodedSection, Encoder,
     SectionKind,
@@ -136,37 +128,16 @@ pub enum Ingest {
     /// the same worker thread (the paper's PMPI deployment). Default.
     #[default]
     Sequential,
-    /// Compress online with generation and compression decoupled: each
-    /// rank's interpreter pushes event batches into a bounded SPSC ring
-    /// (`capacity` batches of up to
-    /// [`DEFAULT_BATCH_EVENTS`](cypress_runtime::DEFAULT_BATCH_EVENTS)
-    /// events) and a consumer thread drains every ring into its rank's
-    /// session. Backpressure blocks the producer when the consumer falls
-    /// behind, so memory stays bounded.
-    Pipelined {
-        /// Ring capacity in batches (clamped to ≥ 1).
-        capacity: usize,
-    },
 }
 
-impl Ingest {
-    /// [`Ingest::Pipelined`] with the default ring capacity.
-    pub fn pipelined() -> Self {
-        Ingest::Pipelined {
-            capacity: DEFAULT_RING_CAPACITY,
-        }
-    }
-}
-
-/// Everything a [`Pipeline`] run needs beyond the program and rank count —
-/// the typed replacement for the builder's accreted per-knob methods.
+/// Everything a [`Pipeline`] run needs beyond the program and rank count.
 ///
 /// ```
 /// use cypress::{Ingest, Pipeline, PipelineConfig};
 ///
 /// let cfg = PipelineConfig {
 ///     threads: 2,
-///     mode: Ingest::pipelined(),
+///     mode: Ingest::Batch,
 ///     ..PipelineConfig::default()
 /// };
 /// let job = Pipeline::new("fn main() { barrier(); }")
@@ -243,68 +214,6 @@ impl Pipeline {
         &self.cfg
     }
 
-    /// Compression knobs (window, time mode, relative ranks).
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `PipelineConfig::compress` via `configure`"
-    )]
-    pub fn config(mut self, cfg: CompressConfig) -> Self {
-        self.cfg.compress = cfg;
-        self
-    }
-
-    /// Interpreter knobs (step budget, virtual time model).
-    #[deprecated(since = "0.2.0", note = "set `PipelineConfig::interp` via `configure`")]
-    pub fn interp_config(mut self, cfg: InterpConfig) -> Self {
-        self.cfg.interp = cfg;
-        self
-    }
-
-    /// Streaming-session knobs (checkpoint cadence, soft byte budget).
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `PipelineConfig::session` via `configure`"
-    )]
-    pub fn session_config(mut self, cfg: SessionConfig) -> Self {
-        self.cfg.session = cfg;
-        self
-    }
-
-    /// Worker-pool width for rank execution and merging.
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `PipelineConfig::threads` via `configure`"
-    )]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads.max(1);
-        self
-    }
-
-    /// `true`: compress online while each rank executes. `false`: record
-    /// raw traces first, then compress — same CTT bytes, linearly growing
-    /// memory.
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `PipelineConfig::mode` to `Ingest::Sequential` / `Ingest::Batch` via `configure`"
-    )]
-    pub fn streaming(mut self, on: bool) -> Self {
-        self.cfg.mode = if on {
-            Ingest::Sequential
-        } else {
-            Ingest::Batch
-        };
-        self
-    }
-
-    /// DEFLATE container sections at this level when persisting
-    /// ([`CompressedJob::write_container`]). `None` (default) stores raw
-    /// sections in the version-1 layout.
-    #[deprecated(since = "0.2.0", note = "set `PipelineConfig::level` via `configure`")]
-    pub fn level(mut self, level: Option<Level>) -> Self {
-        self.cfg.level = level;
-        self
-    }
-
     /// Parse, analyze, execute every rank, and compress. Rank execution runs
     /// on a work-stealing pool of [`PipelineConfig::threads`] workers; how
     /// events reach the compressors is [`PipelineConfig::mode`].
@@ -350,37 +259,6 @@ impl Pipeline {
                 let mut stats = Vec::with_capacity(per_rank.len());
                 for r in per_rank {
                     let (ctt, st) = r.map_err(Error::Runtime)?;
-                    ctts.push(ctt);
-                    stats.push(st);
-                }
-                (ctts, stats)
-            }
-            Ingest::Pipelined { capacity } => {
-                let per_rank = run_ranks_pipelined(
-                    nprocs,
-                    cfg.threads,
-                    capacity,
-                    DEFAULT_BATCH_EVENTS,
-                    |rank, sink| {
-                        let _t = cypress_obs::trace_span("interp", "rank");
-                        run_rank_with_sink(&prog, &info, rank, nprocs, &cfg.interp, sink)
-                    },
-                    |rank| {
-                        CompressSession::new(
-                            &info.cst,
-                            rank,
-                            nprocs,
-                            cfg.compress.clone(),
-                            cfg.session.clone(),
-                        )
-                    },
-                    |session, batch| session.push_batch(batch),
-                    |session, app_time| session.finish(app_time),
-                )
-                .map_err(Error::Runtime)?;
-                let mut ctts = Vec::with_capacity(per_rank.len());
-                let mut stats = Vec::with_capacity(per_rank.len());
-                for (ctt, st) in per_rank {
                     ctts.push(ctt);
                     stats.push(st);
                 }
@@ -636,14 +514,62 @@ impl LoadedJob {
             )));
         }
         if let Some(ctt) = self.rank_ctts.iter().find(|c| c.rank == rank) {
+            check_shape(&self.cst, ctt.data.len(), |gid, kind| {
+                data_fits(&ctt.data[gid], kind)
+            })?;
             return Ok(decompress(&self.cst, ctt));
         }
         if let Some(merged) = &self.merged {
+            check_shape(
+                &self.cst,
+                merged.vertices.len(),
+                |gid, kind| match &merged.vertices[gid] {
+                    MergedVertex::Empty => true,
+                    MergedVertex::Leaf(_) => leaf_kind(kind),
+                    MergedVertex::Control(groups) => groups.iter().all(|(_, d)| data_fits(d, kind)),
+                },
+            )?;
             return Ok(decompress(&self.cst, &merged.extract_rank(rank, &self.cst)));
         }
         Err(Error::Container(ContainerError::MissingSection(
             "merged-ctt or rank-ctt",
         )))
+    }
+}
+
+/// A container's CST section must have the shape of the CTT it decodes:
+/// one vertex per CTT vertex, each holding data of its vertex's kind. The
+/// CRCs cannot catch a CST from another program, and the decompressor
+/// assumes the shapes agree, so a mismatch is rejected here instead.
+fn check_shape(
+    cst: &Cst,
+    vertices: usize,
+    fits: impl Fn(usize, &VertexKind) -> bool,
+) -> Result<()> {
+    if vertices != cst.len() {
+        return Err(Error::Invalid(format!(
+            "cst section has {} vertices but the ctt has {vertices}",
+            cst.len()
+        )));
+    }
+    match (0..vertices).find(|&gid| !fits(gid, &cst.vertex(gid).kind)) {
+        Some(gid) => Err(Error::Invalid(format!(
+            "cst vertex {gid} does not match the ctt's vertex kind"
+        ))),
+        None => Ok(()),
+    }
+}
+
+fn leaf_kind(kind: &VertexKind) -> bool {
+    matches!(kind, VertexKind::Mpi { .. } | VertexKind::UserCall { .. })
+}
+
+fn data_fits(data: &VertexData, kind: &VertexKind) -> bool {
+    match data {
+        VertexData::Root => matches!(kind, VertexKind::Root),
+        VertexData::Loop { .. } => matches!(kind, VertexKind::Loop { .. }),
+        VertexData::Branch { .. } => matches!(kind, VertexKind::Branch { .. }),
+        VertexData::Leaf { .. } => leaf_kind(kind),
     }
 }
 

@@ -1,6 +1,8 @@
 //! End-to-end tests of the `cypress` command-line binary.
 
+use cypress::trace::{Container, SectionKind};
 use std::fs;
+use std::path::Path;
 use std::process::Command;
 
 fn cypress() -> Command {
@@ -53,12 +55,12 @@ fn cst_command_prints_tree() {
 fn compress_then_decompress_round_trip() {
     let dir = tmpdir("compress");
     let prog = write_program(&dir);
-    let merged = dir.join("ring.ctt");
+    let container = dir.join("ring.cytc");
     let out = cypress()
         .args(["compress"])
         .arg(&prog)
         .args(["-n", "8", "-o"])
-        .arg(&merged)
+        .arg(&container)
         .output()
         .expect("run compress");
     assert!(
@@ -66,15 +68,13 @@ fn compress_then_decompress_round_trip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(merged.exists());
-    let cst = dir.join("ring.ctt.cst");
-    assert!(cst.exists());
+    assert_eq!(&fs::read(&container).expect("container")[..4], b"CYTC");
+    // No CST sidecar: the container is self-describing.
+    assert!(!dir.join("ring.cytc.cst").exists());
 
     let out = cypress()
         .arg("decompress")
-        .arg(&merged)
-        .arg("--cst")
-        .arg(&cst)
+        .arg(&container)
         .args(["-r", "5"])
         .output()
         .expect("run decompress");
@@ -97,10 +97,10 @@ fn stream_compress_inspect_decompress_round_trip() {
     let out = cypress()
         .args(["compress"])
         .arg(&prog)
-        .args(["-n", "8", "--stream", "--per-rank", "-o"])
+        .args(["-n", "8", "--per-rank", "-o"])
         .arg(&container)
         .output()
-        .expect("run compress --stream");
+        .expect("run compress");
     assert!(
         out.status.success(),
         "{}",
@@ -109,10 +109,6 @@ fn stream_compress_inspect_decompress_round_trip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("streamed"), "{stdout}");
     assert!(stdout.contains("peak resident CTT"), "{stdout}");
-    // No CST sidecar: the container is self-describing.
-    assert!(!dir.join("ring.cytc.cst").exists());
-    let header = fs::read(&container).expect("container");
-    assert_eq!(&header[..4], b"CYTC");
 
     let out = cypress()
         .arg("inspect")
@@ -131,7 +127,6 @@ fn stream_compress_inspect_decompress_round_trip() {
     }
     assert!(stdout.contains("rank groups"), "{stdout}");
 
-    // Decompress straight from the container — no --cst needed.
     let out = cypress()
         .arg("decompress")
         .arg(&container)
@@ -155,10 +150,10 @@ fn corrupt_container_is_rejected_cleanly() {
     let out = cypress()
         .args(["compress"])
         .arg(&prog)
-        .args(["-n", "4", "--stream", "-o"])
+        .args(["-n", "4", "-o"])
         .arg(&container)
         .output()
-        .expect("run compress --stream");
+        .expect("run compress");
     assert!(out.status.success());
     let mut bytes = fs::read(&container).unwrap();
     let mid = bytes.len() / 2;
@@ -217,13 +212,13 @@ fn dump_prints_events() {
 fn metrics_flag_emits_report_and_jsonl() {
     let dir = tmpdir("metrics");
     let prog = write_program(&dir);
-    let merged = dir.join("ring.ctt");
+    let container = dir.join("ring.cytc");
     let out = cypress()
         .current_dir(&dir)
         .args(["--metrics", "compress"])
         .arg(&prog)
         .args(["-n", "4", "-o"])
-        .arg(&merged)
+        .arg(&container)
         .output()
         .expect("run compress --metrics");
     assert!(
@@ -263,37 +258,55 @@ fn bad_input_fails_cleanly() {
     assert!(!out.status.success());
 }
 
-#[test]
-fn bare_dump_rejects_bad_rank_and_mismatched_cst() {
-    let dir = tmpdir("bare-dump");
-    let prog = write_program(&dir);
-    let merged = dir.join("ring.ctt");
-    let out = cypress()
-        .args(["compress"])
-        .arg(&prog)
-        .args(["-n", "16", "-o"])
-        .arg(&merged)
-        .output()
-        .expect("run compress");
-    assert!(out.status.success());
-    let other = dir.join("tiny.mpi");
-    fs::write(&other, "fn main() { barrier(); }").unwrap();
-    let other_dump = dir.join("tiny.ctt");
-    let out = cypress()
-        .args(["compress"])
-        .arg(&other)
-        .args(["-n", "2", "-o"])
-        .arg(&other_dump)
-        .output()
-        .expect("run compress");
-    assert!(out.status.success());
+/// Rewrite the container at `ctts` with the CST section of the one at
+/// `cst`, keeping or dropping the per-rank sections. The writer recomputes
+/// every CRC, so only a shape check can tell that the CST does not belong.
+fn swap_cst(ctts: &Path, cst: &Path, per_rank: bool, out: &Path) {
+    let cst = Container::read_file(cst).expect("read cst donor");
+    let cst = &cst.find(SectionKind::CstText).expect("cst section").payload;
+    let mut c = Container::read_file(ctts).expect("read container");
+    c.sections
+        .retain(|s| per_rank || s.kind != SectionKind::RankCtt);
+    for s in &mut c.sections {
+        if s.kind == SectionKind::CstText {
+            s.payload = cst.clone();
+        }
+    }
+    c.write_file(out).expect("write container");
+}
 
-    let decompress = |dump: &std::path::Path, cst: &std::path::Path, rank: &str| {
+#[test]
+fn decompress_rejects_bad_rank_and_mismatched_cst() {
+    let dir = tmpdir("mismatched-cst");
+    let compress = |prog: &Path, n: &str| {
+        let container = prog.with_extension("cytc");
+        let out = cypress()
+            .arg("compress")
+            .arg(prog)
+            .args(["-n", n, "--per-rank", "-o"])
+            .arg(&container)
+            .output()
+            .expect("run compress");
+        assert!(out.status.success());
+        container
+    };
+    let ring = compress(&write_program(&dir), "16");
+    let tiny = dir.join("tiny.mpi");
+    fs::write(&tiny, "fn main() { barrier(); }").unwrap();
+    let tiny = compress(&tiny, "2");
+    // Same vertex count as the ring's CST, different kinds.
+    let flat = dir.join("flat.mpi");
+    fs::write(
+        &flat,
+        "fn main() { barrier(); barrier(); barrier(); barrier(); barrier(); }",
+    )
+    .unwrap();
+    let flat = compress(&flat, "2");
+
+    let decompress = |container: &Path, rank: &str| {
         let out = cypress()
             .arg("decompress")
-            .arg(dump)
-            .arg("--cst")
-            .arg(cst)
+            .arg(container)
             .args(["-r", rank])
             .output()
             .expect("run decompress");
@@ -302,31 +315,23 @@ fn bare_dump_rejects_bad_rank_and_mismatched_cst() {
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
-    let (code, stderr) = decompress(&merged, &dir.join("ring.ctt.cst"), "99");
+    let (code, stderr) = decompress(&ring, "99");
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("rank 99 out of 0..16"), "{stderr}");
-    // A CST from another program, smaller and larger than the dump's.
-    for (dump, cst) in [(&merged, "tiny.ctt.cst"), (&other_dump, "ring.ctt.cst")] {
-        let (code, stderr) = decompress(dump, &dir.join(cst), "0");
-        assert_eq!(code, Some(1), "{stderr}");
-        assert!(stderr.contains("--cst has"), "{stderr}");
+
+    // A CST from another program — smaller, larger, or the same size with
+    // other kinds — against per-rank sections and against the merged tree.
+    for per_rank in [true, false] {
+        for (ctts, cst, want) in [
+            (&ring, &tiny, "vertices"),
+            (&tiny, &ring, "vertices"),
+            (&ring, &flat, "does not match"),
+        ] {
+            let bad = dir.join("bad.cytc");
+            swap_cst(ctts, cst, per_rank, &bad);
+            let (code, stderr) = decompress(&bad, "0");
+            assert_eq!(code, Some(1), "per_rank={per_rank}: {stderr}");
+            assert!(stderr.contains(want), "per_rank={per_rank}: {stderr}");
+        }
     }
-    // Same vertex count as the ring's CST, different kinds.
-    let flat = dir.join("flat.mpi");
-    fs::write(
-        &flat,
-        "fn main() { barrier(); barrier(); barrier(); barrier(); barrier(); }",
-    )
-    .unwrap();
-    let out = cypress()
-        .args(["compress"])
-        .arg(&flat)
-        .args(["-n", "2", "-o"])
-        .arg(dir.join("flat.ctt"))
-        .output()
-        .expect("run compress");
-    assert!(out.status.success());
-    let (code, stderr) = decompress(&merged, &dir.join("flat.ctt.cst"), "0");
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("does not match"), "{stderr}");
 }

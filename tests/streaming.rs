@@ -3,6 +3,7 @@
 //! trip every workload's exact event sequence without re-simulation.
 
 use cypress::core::{merge_all, merge_all_parallel};
+use cypress::runtime::InterpConfig;
 use cypress::trace::codec::Codec;
 use cypress::trace::event::{MpiOp, MpiParams};
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
@@ -32,50 +33,91 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The headline acceptance criterion: for every workload, the streaming
-/// pipeline's merged CTT *encoding* is byte-for-byte the batch pipeline's.
-/// Both paths merge with the same thread count, so even the floating-point
-/// time statistics fold in the same order.
+/// The headline acceptance criterion: for every workload, at pool widths
+/// 1, 2 and 8, the streaming pipeline's per-rank and merged CTT *encodings*
+/// are byte-for-byte the batch pipeline's, and session accounting does not
+/// depend on the width.
 #[test]
 fn streaming_merged_bytes_equal_batch_on_all_workloads() {
     for name in all_workload_names() {
         let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
-        let cfg = PipelineConfig {
-            threads: 4,
-            ..PipelineConfig::default()
-        };
-        let mut stream = Pipeline::new(w.source.clone())
-            .ranks(w.nprocs)
-            .configure(cfg.clone())
-            .run()
-            .unwrap_or_else(|e| panic!("{name}: streaming run failed: {e}"));
         let mut batch = Pipeline::new(w.source.clone())
             .ranks(w.nprocs)
             .configure(PipelineConfig {
+                threads: 4,
                 mode: Ingest::Batch,
-                ..cfg
+                ..PipelineConfig::default()
             })
             .run()
             .unwrap_or_else(|e| panic!("{name}: batch run failed: {e}"));
+        let want_merged = batch.merge().to_bytes();
 
-        assert_eq!(stream.ctts, batch.ctts, "{name}: per-rank CTTs diverged");
-        for (a, b) in stream.ctts.iter().zip(&batch.ctts) {
+        let mut first_stats = None;
+        for threads in [1usize, 2, 8] {
+            let mut stream = Pipeline::new(w.source.clone())
+                .ranks(w.nprocs)
+                .configure(PipelineConfig {
+                    threads,
+                    ..PipelineConfig::default()
+                })
+                .run()
+                .unwrap_or_else(|e| panic!("{name} threads={threads}: streaming run failed: {e}"));
+
             assert_eq!(
-                a.to_bytes(),
-                b.to_bytes(),
-                "{name}: rank {} CTT encodings diverged",
-                a.rank
+                stream.ctts, batch.ctts,
+                "{name} threads={threads}: per-rank CTTs diverged"
             );
+            for (a, b) in stream.ctts.iter().zip(&batch.ctts) {
+                assert_eq!(
+                    a.to_bytes(),
+                    b.to_bytes(),
+                    "{name} threads={threads}: rank {} CTT encodings diverged",
+                    a.rank
+                );
+            }
+            assert_eq!(
+                stream.merge().to_bytes(),
+                want_merged,
+                "{name} threads={threads}: merged CTT encodings diverged"
+            );
+            // The streaming path actually streamed: per-rank session stats
+            // exist and the resident footprint was sampled.
+            assert_eq!(stream.stats.len(), w.nprocs as usize, "{name}");
+            assert!(stream.peak_ctt_bytes() > 0, "{name}");
+            let stats: Vec<_> = stream
+                .stats
+                .iter()
+                .map(|s| (s.events, s.mpi_events, s.raw_mpi_bytes, s.checkpoints))
+                .collect();
+            match &first_stats {
+                None => first_stats = Some(stats),
+                Some(want) => assert_eq!(&stats, want, "{name} threads={threads}: session stats"),
+            }
         }
-        assert_eq!(
-            stream.merge().to_bytes(),
-            batch.merge().to_bytes(),
-            "{name}: merged CTT encodings diverged"
-        );
-        // The streaming path actually streamed: per-rank session stats exist
-        // and the resident footprint was sampled.
-        assert_eq!(stream.stats.len(), w.nprocs as usize, "{name}");
-        assert!(stream.peak_ctt_bytes() > 0, "{name}");
+    }
+}
+
+/// A rank that exhausts its step budget mid-stream fails the whole run with
+/// a runtime error, even with more ranks than workers.
+#[test]
+fn producer_error_mid_stream_surfaces_without_deadlock() {
+    let src = "fn main() { for i in 0..100000 { allreduce(8); } }";
+    let r = Pipeline::new(src)
+        .ranks(8)
+        .configure(PipelineConfig {
+            threads: 2,
+            interp: InterpConfig {
+                max_steps: 5_000,
+                ..InterpConfig::default()
+            },
+            ..PipelineConfig::default()
+        })
+        .run();
+    match r {
+        Err(cypress::Error::Runtime(e)) => {
+            assert!(e.to_string().contains("budget"), "unexpected error: {e}")
+        }
+        other => panic!("expected runtime error, got {:?}", other.map(|j| j.nprocs)),
     }
 }
 
