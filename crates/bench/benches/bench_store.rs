@@ -29,7 +29,7 @@
 
 use cypress_bench::harness;
 use cypress_core::{compress_trace, merge_all, CompressConfig};
-use cypress_query::{query_container_bytes, QueryOptions};
+use cypress_query::{query_ctts, QueryOptions, QueryResult};
 use cypress_store::{JobStore, QueryClient, StoreConfig};
 use cypress_trace::{Codec, Container, SectionKind};
 use cypress_workloads::{by_name, quick_procs, Scale};
@@ -44,8 +44,9 @@ fn workers() -> usize {
 }
 
 /// Compile, trace, and compress a bundled workload into a deflated
-/// container image (CST + merged + per-rank sections).
-fn build_image(name: &str) -> (Vec<u8>, u32) {
+/// container image (CST + merged + per-rank sections), plus the writer's
+/// own query answer over its in-memory CTTs as the identity reference.
+fn build_image(name: &str) -> (Vec<u8>, QueryResult) {
     let nprocs = quick_procs(name);
     let w = by_name(name, nprocs, Scale::Quick).unwrap();
     let (_, info) = w.compile();
@@ -62,7 +63,11 @@ fn build_image(name: &str) -> (Vec<u8>, u32) {
     for ctt in &ctts {
         c.push(SectionKind::RankCtt, Some(ctt.rank), ctt.to_bytes());
     }
-    (c.to_bytes_with(Some(cypress_deflate::Level::Fast)), nprocs)
+    let reference = query_ctts(&info.cst, &ctts, &QueryOptions::default()).expect("query");
+    (
+        c.to_bytes_with(Some(cypress_deflate::Level::Fast)),
+        reference,
+    )
 }
 
 struct TempStore(PathBuf);
@@ -74,12 +79,12 @@ impl Drop for TempStore {
 }
 
 /// Populate `jobs` clone containers plus one `.cytc` per bundled workload.
-fn populate(dir: &Path, image: &[u8], jobs: usize, workloads: &[(&str, Vec<u8>)]) {
+fn populate(dir: &Path, image: &[u8], jobs: usize, workloads: &[(&str, Vec<u8>, QueryResult)]) {
     std::fs::create_dir_all(dir).unwrap();
     for i in 0..jobs {
         std::fs::write(dir.join(format!("job-{i:04}.cytc")), image).unwrap();
     }
-    for (name, image) in workloads {
+    for (name, image, _) in workloads {
         std::fs::write(dir.join(format!("{name}.cytc")), image).unwrap();
     }
 }
@@ -107,9 +112,12 @@ fn main() {
     } else {
         &["jacobi", "cg", "dt", "mg"]
     };
-    let workload_images: Vec<(&str, Vec<u8>)> = workload_names
+    let workload_images: Vec<(&str, Vec<u8>, QueryResult)> = workload_names
         .iter()
-        .map(|&n| (n, build_image(n).0))
+        .map(|&n| {
+            let (image, reference) = build_image(n);
+            (n, image, reference)
+        })
         .collect();
 
     let dir = std::env::temp_dir().join(format!("cypress-bench-store-{}", std::process::id()));
@@ -169,13 +177,11 @@ fn main() {
         client.query_raw("job-0000", &opts).expect("remote query")
     });
 
-    // Identity sweep: local container query vs store vs daemon, per
+    // Identity sweep: the writer's in-memory query vs store vs daemon, per
     // bundled workload, byte-for-byte.
     let mut workload_rows = Vec::new();
     let mut all_identical = true;
-    for &name in workload_names {
-        let image = std::fs::read(dir.join(format!("{name}.cytc"))).unwrap();
-        let local = query_container_bytes(&image, &opts).expect("local query");
+    for (name, _, local) in &workload_images {
         let via_store = store.open(name).unwrap().query(&opts).expect("store query");
         let via_daemon = QueryClient::connect(server.addr(), timeout)
             .unwrap()

@@ -10,6 +10,7 @@
 
 use crate::intseq::IntSeq;
 use crate::timestats::TimeStats;
+use cypress_cst::{Cst, VertexKind};
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
 use cypress_trace::event::{MpiOp, MpiParams, ANY_SOURCE, NONE};
 use std::sync::{Arc, OnceLock};
@@ -220,6 +221,16 @@ pub enum VertexData {
 }
 
 impl VertexData {
+    /// Whether this data can hang off a CST vertex of `kind`.
+    pub(crate) fn fits(&self, kind: &VertexKind) -> bool {
+        match self {
+            VertexData::Root => matches!(kind, VertexKind::Root),
+            VertexData::Loop { .. } => matches!(kind, VertexKind::Loop { .. }),
+            VertexData::Branch { .. } => matches!(kind, VertexKind::Branch { .. }),
+            VertexData::Leaf { .. } => is_leaf_kind(kind),
+        }
+    }
+
     pub fn approx_bytes(&self) -> usize {
         match self {
             VertexData::Root => 0,
@@ -229,6 +240,57 @@ impl VertexData {
                 records.iter().map(|r| r.approx_bytes()).sum::<usize>() + 24
             }
         }
+    }
+}
+
+/// CST vertex kinds whose CTT vertex holds communication records.
+pub(crate) fn is_leaf_kind(kind: &VertexKind) -> bool {
+    matches!(kind, VertexKind::Mpi { .. } | VertexKind::UserCall { .. })
+}
+
+/// A CTT whose shape disagrees with the CST it is walked against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShapeError {
+    /// The two trees have different vertex counts.
+    VertexCount { cst: usize, ctt: usize },
+    /// Vertex `gid` holds data of another kind than its CST vertex.
+    Kind { gid: usize },
+}
+
+impl std::fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShapeError::VertexCount { cst, ctt } => {
+                write!(f, "CST has {cst} vertices but the CTT has {ctt}")
+            }
+            ShapeError::Kind { gid } => {
+                write!(f, "CST vertex {gid} does not match the CTT's vertex kind")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
+/// The one CTT/CST shape check: one CTT vertex per CST vertex, each holding
+/// data that `fits` its vertex's kind. Decompression, the query engine and
+/// the analysis lowering all walk a CTT alongside its CST (paper §V) and
+/// assume this holds; section CRCs cannot catch a CST from another program,
+/// so readers of stored CTTs run it once on load. One pass, no allocation.
+pub(crate) fn check_shape(
+    cst: &Cst,
+    vertices: usize,
+    fits: impl Fn(usize, &VertexKind) -> bool,
+) -> Result<(), ShapeError> {
+    if vertices != cst.len() {
+        return Err(ShapeError::VertexCount {
+            cst: cst.len(),
+            ctt: vertices,
+        });
+    }
+    match (0..vertices).find(|&gid| !fits(gid, &cst.vertex(gid).kind)) {
+        Some(gid) => Err(ShapeError::Kind { gid }),
+        None => Ok(()),
     }
 }
 

@@ -41,7 +41,7 @@ pub mod timestats;
 pub mod visit;
 
 pub use compress::{compress_trace, CompressConfig, IntraCompressor};
-pub use ctt::{intern_gids, Ctt, EncParams, LeafRecord, RankEnc, VertexData};
+pub use ctt::{intern_gids, Ctt, EncParams, LeafRecord, RankEnc, ShapeError, VertexData};
 pub use decompress::{decompress, decompress_into, replay_to_records, ReplayOp};
 pub use intseq::{IntSeq, IntSeqReader, Seg, SeqRef};
 pub use merge::{merge_all, merge_all_parallel, BinomialMerger, MergedCtt, MergedVertex, RankSet};

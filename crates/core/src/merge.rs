@@ -18,7 +18,7 @@
 //! with std scoped threads — the O(n log P) schedule the paper
 //! describes for end-of-job merging inside `MPI_Finalize`.
 
-use crate::ctt::{Ctt, LeafRecord, VertexData};
+use crate::ctt::{check_shape, is_leaf_kind, Ctt, LeafRecord, ShapeError, VertexData};
 use crate::intseq::IntSeq;
 use cypress_obs::{obs_log, Counter, Gauge, Histogram, Level};
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
@@ -305,6 +305,18 @@ impl MergedCtt {
         while let Some(v) = r.next() {
             self.app_times.push(v);
         }
+    }
+
+    /// Check that this tree has `cst`'s shape: one vertex per CST vertex,
+    /// each group holding data of its vertex's kind.
+    pub fn check_shape(&self, cst: &cypress_cst::Cst) -> Result<(), ShapeError> {
+        check_shape(cst, self.vertices.len(), |gid, kind| {
+            match &self.vertices[gid] {
+                MergedVertex::Empty => true,
+                MergedVertex::Leaf(_) => is_leaf_kind(kind),
+                MergedVertex::Control(groups) => groups.iter().all(|(_, d)| d.fits(kind)),
+            }
+        })
     }
 
     /// Total group count across vertices (the merged trace's record

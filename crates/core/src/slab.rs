@@ -17,9 +17,13 @@
 //! partial-expansion fallback materializes an owned [`Ctt`] on demand via
 //! [`CttSource::as_ctt`].
 
-use crate::ctt::{Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LEAF, VD_LOOP, VD_ROOT};
+use crate::ctt::{
+    check_shape, is_leaf_kind, Ctt, LeafRecord, ShapeError, VertexData, VD_BRANCH, VD_LEAF,
+    VD_LOOP, VD_ROOT,
+};
 use crate::intseq::{decode_segs_into, Seg, SeqRef};
 use crate::visit::{CttFold, CttSource, RankScope};
+use cypress_cst::{Cst, VertexKind};
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder};
 use std::borrow::Cow;
 
@@ -120,6 +124,17 @@ impl CttSlab {
     /// Number of CTT vertices (mirrors the CST shape).
     pub fn vertex_count(&self) -> usize {
         self.verts.len()
+    }
+
+    /// Check that this CTT has `cst`'s shape: one vertex per CST vertex,
+    /// each holding data of its vertex's kind.
+    pub fn check_shape(&self, cst: &Cst) -> Result<(), ShapeError> {
+        check_shape(cst, self.verts.len(), |gid, kind| match self.verts[gid] {
+            SlabVertex::Root => matches!(kind, VertexKind::Root),
+            SlabVertex::Loop { .. } => matches!(kind, VertexKind::Loop { .. }),
+            SlabVertex::Branch { .. } => matches!(kind, VertexKind::Branch { .. }),
+            SlabVertex::Leaf { .. } => is_leaf_kind(kind),
+        })
     }
 
     /// Total merged record count across leaves.

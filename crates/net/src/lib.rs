@@ -50,7 +50,7 @@ pub use client::{
     submit_ctt, submit_merged_blocks, submit_stream, BlockUpload, ClientConfig, SubmitOutcome,
 };
 pub use collector::{CollectedJob, Collector, CollectorConfig, RelayConfig, RelaySummary};
-pub use proto::{Frame, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION, PROTO_VERSION_MIN};
+pub use proto::{Frame, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION};
 pub use stats::{fetch_stats, ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 pub use transport::{Addr, Listener, Stream};
 pub use tree::{spawn_tree, Tree, TreeConfig};
@@ -69,10 +69,6 @@ pub enum NetError {
     Crc {
         stored: u32,
         computed: u32,
-    },
-    /// The peer speaks a protocol version outside our supported range.
-    Version {
-        theirs: u8,
     },
     /// The peer reported a protocol error (see [`proto::codes`]).
     Remote {
@@ -105,14 +101,12 @@ impl fmt::Display for NetError {
                 f,
                 "frame crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
             ),
-            NetError::Version { theirs } => write!(
-                f,
-                "peer protocol version {theirs} unsupported (accept {PROTO_VERSION_MIN}..={PROTO_VERSION})",
-                PROTO_VERSION_MIN = proto::PROTO_VERSION_MIN,
-                PROTO_VERSION = proto::PROTO_VERSION,
-            ),
             NetError::Remote { code, message } => {
-                write!(f, "peer error {code} ({}): {message}", proto::codes::name(*code))
+                write!(
+                    f,
+                    "peer error {code} ({}): {message}",
+                    proto::codes::name(*code)
+                )
             }
             NetError::Addr(m) => write!(f, "bad address: {m}"),
             NetError::Protocol(m) => write!(f, "protocol violation: {m}"),

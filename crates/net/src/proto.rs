@@ -11,11 +11,10 @@
 //! ```
 //!
 //! The CRC covers the whole body, so a torn or bit-flipped frame is
-//! detected before any payload decoding runs. Versioning is negotiated in
-//! the first exchange: the client's `Hello` carries its protocol version;
-//! the collector answers `HelloAck` with `min(client, PROTO_VERSION)` if
-//! that is ≥ [`PROTO_VERSION_MIN`], and an `Error` frame with
-//! [`codes::VERSION`] otherwise.
+//! detected before any payload decoding runs. There is one protocol
+//! version, [`PROTO_VERSION`]: the client's `Hello` carries it, and the
+//! collector answers `HelloAck` with the same version, or an `Error` frame
+//! with [`codes::VERSION`] for any other.
 //!
 //! Frame sequences (client → collector unless noted):
 //!
@@ -26,24 +25,23 @@
 //! any point:    Error ← (collector rejects; see codes)
 //! ```
 //!
-//! Protocol version 2 adds `RankCttZ`: a DEFLATE-compressed rank CTT with
-//! the raw length up front so the collector can bound decompression. A
-//! client only sends it when the negotiated version is ≥ 2; against a v1
-//! collector it falls back to the raw `RankCtt` frame.
+//! `RankCttZ` is a DEFLATE-compressed rank CTT with the raw length up front
+//! so the collector can bound decompression; a client sends the raw
+//! `RankCtt` frame instead when it was not asked to compress or DEFLATE
+//! does not shrink the CTT.
 //!
-//! Protocol version 3 adds the analysis frames (`AnalyzeRequest` /
-//! `AnalyzeResponse`) and tolerant decoding of frame codes from the
-//! *future*: an unrecognized code decodes to [`Frame::Unknown`] instead of
-//! a hard frame error, so a resident daemon can answer it with a `protocol`
-//! error frame and keep the connection usable — the negotiation story for
-//! old-server/new-client pairs on the query port, which exchanges no
-//! `Hello`.
+//! The analysis frames (`AnalyzeRequest` / `AnalyzeResponse`) share the
+//! query port. Frame codes from the *future* decode to [`Frame::Unknown`]
+//! instead of a hard frame error, so a resident daemon can answer them
+//! with a `protocol` error frame and keep the connection usable — the
+//! compatibility story for old-server/new-client pairs on the query port,
+//! which exchanges no `Hello`.
 //!
-//! Protocol version 4 adds the collector-tree frames: `Hello` mode 2
-//! (`SubmitMode::Blocks`) opens an inter-collector session, and each
-//! `MergedBlockZ` frame carries one DEFLATE-compressed *aligned buddy
-//! block* of the global binomial merge — a relay's resident partial merges,
-//! forwarded upstream without re-expanding to per-rank CTTs:
+//! The collector-tree frames: `Hello` mode 2 (`SubmitMode::Blocks`) opens
+//! an inter-collector session, and each `MergedBlockZ` frame carries one
+//! DEFLATE-compressed *aligned buddy block* of the global binomial merge —
+//! a relay's resident partial merges, forwarded upstream without
+//! re-expanding to per-rank CTTs:
 //!
 //! ```text
 //! blocks mode:  Hello → (HelloAck ←) → MergedBlockZ* → Finish → (FinAck ←)
@@ -66,11 +64,8 @@ use cypress_trace::codec::{Codec, Decoder, Encoder};
 use cypress_trace::event::Event;
 use std::io::{Read, Write};
 
-/// Newest protocol version this build speaks.
+/// The protocol version this build speaks and accepts.
 pub const PROTO_VERSION: u8 = 4;
-
-/// Oldest protocol version this build accepts.
-pub const PROTO_VERSION_MIN: u8 = 1;
 
 /// Upper bound on a frame body; larger length prefixes are rejected before
 /// any allocation.
@@ -119,7 +114,7 @@ pub enum SubmitMode {
     /// The client compressed locally and ships the finished CTT bytes.
     Ctt,
     /// The peer is a mid-tier relay collector forwarding already-merged
-    /// buddy blocks of the global binomial tree (protocol ≥ 4).
+    /// buddy blocks of the global binomial tree.
     Blocks,
 }
 
@@ -171,7 +166,7 @@ pub enum Frame {
         mode: SubmitMode,
         cst_text: String,
     },
-    /// Collector acceptance: the negotiated version, and whether this rank
+    /// Collector acceptance: the protocol version, and whether this rank
     /// is already merged (a retried client can stop immediately).
     HelloAck { version: u8, already_done: bool },
     /// A chunk of raw trace events, in execution order.
@@ -183,7 +178,7 @@ pub enum Frame {
     FinAck { ranks_done: u32 },
     /// A finished per-rank CTT in codec bytes (ctt mode).
     RankCtt { bytes: Vec<u8> },
-    /// A finished per-rank CTT, DEFLATE-compressed (ctt mode, protocol ≥ 2).
+    /// A finished per-rank CTT, DEFLATE-compressed (ctt mode).
     /// `raw_len` is the decompressed size, checked by the collector before
     /// and after inflation.
     RankCttZ { raw_len: u64, bytes: Vec<u8> },
@@ -211,7 +206,7 @@ pub enum Frame {
     /// The answer: an opaque, self-versioned `AnalyzeReport` blob.
     AnalyzeResponse { result: Vec<u8> },
     /// One aligned buddy block of the global binomial merge, forwarded by a
-    /// relay collector (blocks mode, protocol ≥ 4). `bytes` is a
+    /// relay collector (blocks mode). `bytes` is a
     /// DEFLATE-compressed `MergedCtt` covering ranks
     /// `[first_rank, first_rank + nranks)`; `raw_len` bounds inflation like
     /// `RankCttZ`. `events`/`raw_mpi_bytes` carry the relay's accounting
@@ -687,7 +682,7 @@ mod tests {
                 cst_text: "Root()".into(),
             },
             Frame::HelloAck {
-                version: 1,
+                version: PROTO_VERSION,
                 already_done: true,
             },
             Frame::Events {

@@ -45,12 +45,10 @@
 #![forbid(unsafe_code)]
 
 mod accum;
-mod container;
 mod engine;
 mod hotspot;
 mod wire;
 
-pub use container::{query_container, query_container_bytes, query_container_path};
 pub use engine::{
     needs_expansion, query_by_decompression, query_by_decompression_windowed, query_ctts,
     query_merged,
@@ -253,46 +251,19 @@ impl QueryResult {
     }
 }
 
-/// Query-engine errors (container access, malformed payloads, bad inputs).
+/// Query-engine errors: structurally invalid input (empty CTT set, world
+/// sizes that disagree, a CTT that does not have the CST's shape, …).
 #[derive(Debug)]
 pub enum QueryError {
-    Container(cypress_trace::ContainerError),
-    Decode(cypress_trace::DecodeError),
-    /// CST text section failed to parse.
-    BadCst(String),
-    /// Structurally invalid input (empty CTT set, rank out of range, …).
     Invalid(String),
 }
 
 impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QueryError::Container(e) => write!(f, "query container error: {e}"),
-            QueryError::Decode(e) => write!(f, "query decode error: {e}"),
-            QueryError::BadCst(e) => write!(f, "query cst error: {e}"),
             QueryError::Invalid(e) => write!(f, "invalid query input: {e}"),
         }
     }
 }
 
-impl std::error::Error for QueryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            QueryError::Container(e) => Some(e),
-            QueryError::Decode(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<cypress_trace::ContainerError> for QueryError {
-    fn from(e: cypress_trace::ContainerError) -> Self {
-        QueryError::Container(e)
-    }
-}
-
-impl From<cypress_trace::DecodeError> for QueryError {
-    fn from(e: cypress_trace::DecodeError) -> Self {
-        QueryError::Decode(e)
-    }
-}
+impl std::error::Error for QueryError {}

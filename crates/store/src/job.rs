@@ -2,7 +2,7 @@
 
 use crate::StoreError;
 use cypress_analysis::{analyze_ctts, AnalyzeOptions, AnalyzeReport};
-use cypress_core::{CttSlab, CttSource, MergedCtt};
+use cypress_core::{decompress, CttSlab, CttSource, MergedCtt, ReplayOp, ShapeError};
 use cypress_cst::Cst;
 use cypress_query::{query_ctts, query_merged, QueryOptions, QueryResult};
 use cypress_simmpi::LogGp;
@@ -36,7 +36,8 @@ pub struct StoreJob {
 impl StoreJob {
     /// Open and fully verify one container file. All per-section CRCs are
     /// checked by the table parse; only the sections a query needs are
-    /// inflated/decoded.
+    /// inflated/decoded, and every decoded CTT is checked against the CST's
+    /// shape.
     pub fn open(path: &Path, name: &str) -> Result<StoreJob, StoreError> {
         let image = std::fs::read(path)?.into_boxed_slice();
         let table = SectionTable::parse(&image)?;
@@ -51,10 +52,15 @@ impl StoreJob {
             .map_err(|e| StoreError::Invalid(format!("cst section is not utf-8: {e}")))?;
         let cst = Cst::from_text(cst_text).map_err(StoreError::Invalid)?;
 
+        // A CST from another program passes every CRC; the shape check is
+        // what stops it before any reader walks a CTT against it.
+        let shape = |e: ShapeError| StoreError::Invalid(e.to_string());
         let mut slabs = Vec::new();
         for idx in table.rank_indices() {
             let payload = arena.payload(&image, &table.sections()[idx], idx)?;
-            slabs.push(CttSlab::from_bytes(payload)?);
+            let slab = CttSlab::from_bytes(payload)?;
+            slab.check_shape(&cst).map_err(shape)?;
+            slabs.push(slab);
         }
         let complete = slabs.len() as u32 == nprocs
             && nprocs > 0
@@ -66,7 +72,9 @@ impl StoreJob {
             match table.find(SectionKind::MergedCtt) {
                 Some(idx) => {
                     let payload = arena.payload(&image, &table.sections()[idx], idx)?;
-                    Some(MergedCtt::from_bytes(payload)?)
+                    let merged = MergedCtt::from_bytes(payload)?;
+                    merged.check_shape(&cst).map_err(shape)?;
+                    Some(merged)
                 }
                 None => None,
             }
@@ -84,11 +92,11 @@ impl StoreJob {
         })
     }
 
-    /// Evaluate the compressed-domain query suite. Selection matches the
-    /// umbrella `LoadedJob::query_with` exactly — a complete per-rank set
-    /// is preferred, then the merged tree — and slab evaluation is pinned
-    /// byte-identical to owned-CTT evaluation, so daemon answers equal
-    /// local ones bit for bit.
+    /// Evaluate the compressed-domain query suite: on the complete per-rank
+    /// set when there is one (exact per-rank timing), else on the merged
+    /// tree. Slab evaluation is pinned byte-identical to owned-CTT
+    /// evaluation, so answers equal the writer's in-memory ones bit for bit,
+    /// and daemon answers equal local ones.
     pub fn query(&self, opts: &QueryOptions) -> Result<QueryResult, StoreError> {
         if self.complete {
             return Ok(query_ctts(&self.cst, &self.slabs, opts)?);
@@ -98,6 +106,26 @@ impl StoreJob {
         }
         Err(StoreError::Container(ContainerError::MissingSection(
             "merged-ctt or complete rank-ctt set",
+        )))
+    }
+
+    /// Replay one rank's exact MPI operation sequence from its own section,
+    /// else by extracting it from the merged tree.
+    pub fn decompress(&self, rank: u32) -> Result<Vec<ReplayOp>, StoreError> {
+        if rank >= self.nprocs() {
+            return Err(StoreError::Invalid(format!(
+                "rank {rank} out of 0..{}",
+                self.nprocs()
+            )));
+        }
+        if let Some(slab) = self.slabs.iter().find(|s| s.rank() == rank) {
+            return Ok(decompress(&self.cst, &slab.to_ctt()));
+        }
+        if let Some(merged) = &self.merged {
+            return Ok(decompress(&self.cst, &merged.extract_rank(rank, &self.cst)));
+        }
+        Err(StoreError::Container(ContainerError::MissingSection(
+            "merged-ctt or rank-ctt",
         )))
     }
 

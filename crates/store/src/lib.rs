@@ -8,8 +8,9 @@
 //!   sections inflate exactly once into a [`cypress_trace::PayloadArena`]
 //!   owned by the handle, and per-rank CTTs decode into pooled
 //!   [`cypress_core::CttSlab`]s instead of per-node heap allocations.
-//!   [`StoreJob::query`] replicates the umbrella `LoadedJob::query`
-//!   selection exactly, so answers are byte-identical.
+//!   It is the one reader of `.cytc` jobs: the CLI's `decompress`, `query`
+//!   and `analyze` open through it, as does the daemon, and
+//!   [`StoreJob::open`] checks every decoded CTT against the CST's shape.
 //! * [`JobStore`] — a directory of jobs behind an LRU of hot handles with
 //!   byte- and entry-count budgets ([`StoreConfig`]), duplicate-open
 //!   coalescing, and hit/miss/eviction metrics ([`StoreStats`], mirrored

@@ -9,8 +9,8 @@
 //! `internal`; the connection stays open after an error reply, so a
 //! scripted client can probe jobs cheaply. Frame codes from a newer client
 //! (decoded as `Frame::Unknown`) also get a `protocol` error reply with
-//! the connection kept alive — that is the whole version-negotiation story
-//! on this port, which exchanges no `Hello`.
+//! the connection kept alive — that is the whole compatibility story on
+//! this port, which exchanges no `Hello`.
 
 use crate::{JobStore, StoreError};
 use cypress_analysis::{AnalyzeOptions, AnalyzeReport};

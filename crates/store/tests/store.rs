@@ -5,7 +5,7 @@
 use cypress_core::{compress_trace, merge_all, CompressConfig};
 use cypress_cst::analyze_program;
 use cypress_minilang::{check_program, parse};
-use cypress_query::QueryOptions;
+use cypress_query::{query_ctts, QueryOptions, QueryResult};
 use cypress_runtime::{trace_program, InterpConfig};
 use cypress_store::{query_remote, JobStore, QueryClient, StoreConfig, StoreError};
 use cypress_trace::{Codec, Container, SectionKind};
@@ -37,8 +37,9 @@ impl Drop for TempStore {
 }
 
 /// Build a complete job container (CST + merged + per-rank CTTs) and write
-/// it as `<name>.cytc` under `dir`.
-fn write_job(dir: &Path, name: &str, src: &str, nprocs: u32) {
+/// it as `<name>.cytc` under `dir`. Returns the writer's own query answer
+/// over its in-memory CTTs.
+fn write_job(dir: &Path, name: &str, src: &str, nprocs: u32) -> QueryResult {
     let prog = parse(src).unwrap();
     check_program(&prog).unwrap();
     let info = analyze_program(&prog);
@@ -59,6 +60,7 @@ fn write_job(dir: &Path, name: &str, src: &str, nprocs: u32) {
         Some(cypress_deflate::Level::Fast),
     )
     .unwrap();
+    query_ctts(&info.cst, &ctts, &QueryOptions::default()).unwrap()
 }
 
 const PROG: &str = r#"fn main() {
@@ -70,17 +72,75 @@ const PROG: &str = r#"fn main() {
 }"#;
 
 #[test]
-fn open_query_matches_direct_container_query() {
+fn open_query_matches_writer_in_memory_query() {
     let tmp = TempStore::new();
-    write_job(&tmp.0, "job-a", PROG, 4);
+    let reference = write_job(&tmp.0, "job-a", PROG, 4);
     let store = JobStore::new(&tmp.0, StoreConfig::default()).unwrap();
     let job = store.open("job-a").unwrap();
     let from_store = job.query(&QueryOptions::default()).unwrap();
-
-    let image = std::fs::read(tmp.0.join("job-a.cytc")).unwrap();
-    let reference = cypress_query::query_container_bytes(&image, &QueryOptions::default()).unwrap();
     assert_eq!(from_store, reference);
     assert_eq!(from_store.to_bytes(), reference.to_bytes());
+}
+
+/// Copy `<from>.cytc` to `<to>.cytc` with the CST section replaced by the
+/// CST of a program with as many vertices but other kinds (only MPI leaves
+/// under the root), optionally dropping the per-rank sections so the
+/// merged tree is what gets checked.
+fn write_kind_mismatched(dir: &Path, from: &str, to: &str, per_rank: bool) {
+    let mut c = Container::read_file(dir.join(format!("{from}.cytc"))).unwrap();
+    let cst = |src: &str| {
+        let prog = parse(src).unwrap();
+        check_program(&prog).unwrap();
+        analyze_program(&prog).cst
+    };
+    let vertices = cst(PROG).len();
+    let flat = cst(&format!(
+        "fn main() {{ {} }}",
+        "barrier(); ".repeat(vertices - 1)
+    ));
+    assert_eq!(flat.len(), vertices);
+    c.sections
+        .retain(|s| per_rank || s.kind != SectionKind::RankCtt);
+    for s in &mut c.sections {
+        if s.kind == SectionKind::CstText {
+            s.payload = flat.to_text().into_bytes();
+        }
+    }
+    c.write_file(dir.join(format!("{to}.cytc"))).unwrap();
+}
+
+#[test]
+fn cst_of_another_program_is_rejected_on_open_and_by_the_daemon() {
+    let tmp = TempStore::new();
+    let reference = write_job(&tmp.0, "good", PROG, 4);
+    write_kind_mismatched(&tmp.0, "good", "bad-ranks", true);
+    write_kind_mismatched(&tmp.0, "good", "bad-merged", false);
+    let store = Arc::new(JobStore::new(&tmp.0, StoreConfig::default()).unwrap());
+    for bad in ["bad-ranks", "bad-merged"] {
+        match store.open(bad) {
+            Err(StoreError::Invalid(msg)) => assert!(msg.contains("does not match"), "{msg}"),
+            Err(e) => panic!("{bad}: expected Invalid, got {e}"),
+            Ok(_) => panic!("{bad}: opened a job whose CST does not fit its CTTs"),
+        }
+    }
+
+    let addr = cypress_net::Addr::parse("127.0.0.1:0").unwrap();
+    let server = cypress_store::spawn(store.clone(), &addr).unwrap();
+    let timeout = Duration::from_secs(10);
+    let opts = QueryOptions::default();
+    assert!(query_remote(server.addr(), "bad-ranks", &opts, timeout).is_err());
+    let mut client = QueryClient::connect(server.addr(), timeout).unwrap();
+    for bad in ["bad-ranks", "bad-merged"] {
+        match client.query(bad, &opts) {
+            Err(StoreError::Remote { message, .. }) => {
+                assert!(message.contains("does not match"), "{message}")
+            }
+            other => panic!("{bad}: expected a remote error, got {other:?}"),
+        }
+    }
+    // The same connection still answers a good job.
+    assert_eq!(client.query("good", &opts).unwrap(), reference);
+    server.stop();
 }
 
 #[test]

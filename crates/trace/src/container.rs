@@ -10,19 +10,18 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "CYTC"
-//! 4       1     format version (1 = raw sections, 2 = per-section encoding,
-//!               3 = v2 body + whole-image crc trailer)
+//! 4       1     format version (3; readers reject every other value)
 //! 5       …     body (cypress varint codec):
 //!               uvar nprocs
 //!               uvar section_count
 //!               section × section_count:
-//!                 u8   kind        (Meta | CstText | MergedCtt | RankCtt)
+//!                 u8   kind        (Meta | CstText | MergedCtt | RankCtt | Telemetry)
 //!                 uvar rank + 1    (0 = not rank-scoped)
-//!                 u8   encoding    (v2+ only: 0 = raw, 1 = deflate)
-//!                 uvar raw_len     (v2+ only, deflate encoding only)
+//!                 u8   encoding    (0 = raw, 1 = deflate)
+//!                 uvar raw_len     (deflate encoding only)
 //!                 uvar stored_len, stored bytes
 //!                 uvar crc32(stored)    (gzip polynomial, cypress-deflate)
-//! end     4     u32 LE crc32 of every preceding byte (v3 only)
+//! end     4     u32 LE crc32 of every preceding byte
 //! ```
 //!
 //! Each section is independently framed and CRC-protected, so a reader can
@@ -30,21 +29,22 @@
 //! per-section. Writers go through [`Container::write_file`], which is
 //! atomic (temp + rename).
 //!
-//! Version 2 added per-section DEFLATE: [`Container::to_bytes_with`]
+//! Sections may be DEFLATE-compressed: [`Container::to_bytes_with`]
 //! compresses eligible payloads at a chosen [`Level`]. Sections can also be
 //! encoded independently ([`encode_section`]) and assembled later
 //! ([`assemble`]) — that split is what lets the umbrella crate compress
 //! sections on a worker pool without this crate depending on a scheduler.
 //!
-//! Version 3 (current) appends a crc32 of the whole preceding image.
-//! Per-section CRCs protect payload bytes, but the *framing* varints
-//! (section counts, lengths) were previously unprotected: a single flipped
-//! length byte could send a reader off to allocate gigabytes or
-//! misinterpret the rest of the file. The image CRC is verified over the
-//! full prefix **before any body byte is parsed** (see
+//! Per-section CRCs protect payload bytes, but not the *framing* varints
+//! (section counts, lengths): a single flipped length byte could send a
+//! reader off to allocate gigabytes or misinterpret the rest of the file.
+//! The trailing whole-image CRC is verified over the full prefix **before
+//! any body byte is parsed** (see
 //! [`SectionTable::parse`](crate::view::SectionTable::parse)), so every
-//! single-byte corruption of a v3 file is rejected up front with a clean
-//! error. Writers always emit v3; readers accept all of v1/v2/v3.
+//! single-byte corruption is rejected up front with a clean error. Writers
+//! emit and readers accept exactly [`CONTAINER_VERSION`]; the earlier
+//! formats (v1 without encoding bytes, v2 without the image CRC) are
+//! rejected with [`ContainerError::UnsupportedVersion`].
 
 use crate::codec::{DecodeError, Encoder};
 use cypress_deflate::{crc32, deflate, Level};
@@ -171,7 +171,7 @@ pub enum ContainerError {
     Io(std::io::Error),
     /// The file does not start with [`CONTAINER_MAGIC`].
     BadMagic,
-    /// The file's version is newer than this reader understands.
+    /// The file's version is not [`CONTAINER_VERSION`].
     UnsupportedVersion(u8),
     /// Malformed body (framing, varints, bad kind codes).
     Corrupt(DecodeError),
@@ -181,7 +181,7 @@ pub enum ContainerError {
         stored: u32,
         computed: u32,
     },
-    /// The whole-image CRC trailer (v3) does not match — some byte of the
+    /// The whole-image CRC trailer does not match — some byte of the
     /// file, payload or framing, was corrupted.
     ImageCrcMismatch {
         stored: u32,
@@ -207,7 +207,7 @@ impl fmt::Display for ContainerError {
             ContainerError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "container version {v} not supported (max {CONTAINER_VERSION})"
+                    "container version {v} not supported (only {CONTAINER_VERSION})"
                 )
             }
             ContainerError::Corrupt(e) => write!(f, "corrupt container: {e}"),
@@ -297,11 +297,11 @@ impl Container {
         self.to_bytes_with(None)
     }
 
-    /// Serialize, deflating eligible section payloads at `level`. `None`
-    /// stores everything raw and emits a version-1 image; `Some` emits
-    /// version 2. Deterministic: the same container and level always produce
-    /// the same bytes (a parallel encoder assembling [`encode_section`]
-    /// results via [`assemble`] is byte-identical).
+    /// Serialize, deflating eligible section payloads at `level` (`None`
+    /// stores everything raw). Always emits a [`CONTAINER_VERSION`] image.
+    /// Deterministic: the same container and level always produce the same
+    /// bytes (a parallel encoder assembling [`encode_section`] results via
+    /// [`assemble`] is byte-identical).
     pub fn to_bytes_with(&self, level: Option<Level>) -> Vec<u8> {
         let encoded: Vec<EncodedSection> = self
             .sections
@@ -311,8 +311,8 @@ impl Container {
         assemble(self.nprocs, &encoded)
     }
 
-    /// Parse and verify a container image (magic, version, image CRC for
-    /// v3, framing, and every section CRC), materializing every payload
+    /// Parse and verify a container image (magic, version, image CRC,
+    /// framing, and every section CRC), materializing every payload
     /// eagerly. Shares its parser with the lazy
     /// [`ContainerView`](crate::view::ContainerView), so both paths accept
     /// and reject exactly the same images.
@@ -454,12 +454,10 @@ pub fn encode_section(s: &Section, level: Option<Level>) -> EncodedSection {
     }
 }
 
-/// Assemble encoded sections into a container image. Always emits the
-/// current version (3): a v2-style body followed by a whole-image crc32
-/// trailer that lets readers reject any corruption — framing included —
-/// before parsing a single body byte.
+/// Assemble encoded sections into a container image: the body followed by
+/// a whole-image crc32 trailer that lets readers reject any corruption —
+/// framing included — before parsing a single body byte.
 pub fn assemble(nprocs: u32, encoded: &[EncodedSection]) -> Vec<u8> {
-    let version = CONTAINER_VERSION;
     let mut enc =
         Encoder::with_capacity(8 + encoded.iter().map(|e| e.stored.len() + 20).sum::<usize>());
     enc.put_uvar(nprocs as u64);
@@ -476,7 +474,7 @@ pub fn assemble(nprocs: u32, encoded: &[EncodedSection]) -> Vec<u8> {
     }
     let mut out = Vec::with_capacity(5 + enc.len() + 4);
     out.extend_from_slice(&CONTAINER_MAGIC);
-    out.push(version);
+    out.push(CONTAINER_VERSION);
     out.extend_from_slice(&enc.finish());
     let image_crc = crc32(&out);
     out.extend_from_slice(&image_crc.to_le_bytes());
@@ -539,7 +537,7 @@ mod tests {
         let c = sample();
         let clean = c.to_bytes();
         // Flip one byte inside the merged-ctt payload (find it by value).
-        // In v3 the whole-image CRC catches this before body parsing.
+        // The whole-image CRC catches this before body parsing.
         let pos = clean
             .windows(5)
             .position(|w| w == [1, 2, 3, 4, 5])
@@ -549,6 +547,25 @@ mod tests {
         assert!(matches!(
             Container::from_bytes(&bytes),
             Err(ContainerError::ImageCrcMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn payload_corruption_under_a_recomputed_image_crc_fails_section_crc() {
+        let clean = sample().to_bytes();
+        let pos = clean
+            .windows(5)
+            .position(|w| w == [1, 2, 3, 4, 5])
+            .expect("payload present");
+        let mut bytes = clean.clone();
+        bytes[pos + 2] ^= 0xff;
+        // Re-seal the trailer so only the per-section CRC can catch it.
+        let body_end = bytes.len() - 4;
+        let image_crc = crc32(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&image_crc.to_le_bytes());
+        assert!(matches!(
+            Container::from_bytes(&bytes),
+            Err(ContainerError::CrcMismatch { index: 2, .. })
         ));
     }
 
@@ -676,74 +693,21 @@ mod tests {
         assert_eq!(Container::from_bytes(&z).unwrap(), c);
     }
 
-    /// Emit a legacy image the way pre-v3 writers did: no image-CRC
-    /// trailer, and v1 additionally drops the per-section encoding byte
-    /// (all sections raw).
-    fn legacy_image(version: u8, c: &Container) -> Vec<u8> {
-        assert!(version == 1 || version == 2);
-        let mut enc = Encoder::with_capacity(64);
-        enc.put_uvar(c.nprocs as u64);
-        enc.put_uvar(c.sections.len() as u64);
-        for s in &c.sections {
-            enc.put_u8(s.kind.code());
-            enc.put_uvar(s.rank.map(|r| r as u64 + 1).unwrap_or(0));
-            if version >= 2 {
-                enc.put_u8(ENC_RAW);
-            }
-            enc.put_bytes(&s.payload);
-            enc.put_uvar(crc32(&s.payload) as u64);
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(&CONTAINER_MAGIC);
-        out.push(version);
-        out.extend_from_slice(&enc.finish());
-        out
-    }
-
     #[test]
-    fn legacy_v1_and_v2_images_still_read() {
-        let c = sample();
+    fn legacy_v1_and_v2_images_are_unsupported() {
+        // Pre-v3 images differ from v3 in the version byte (and v1 in the
+        // body), so a v3 image relabelled 1 or 2 stands in for both.
+        let mut image = sample().to_bytes();
         for v in [1u8, 2] {
-            let img = legacy_image(v, &c);
-            assert_eq!(img[4], v);
-            let back = Container::from_bytes(&img).unwrap_or_else(|e| panic!("v{v}: {e}"));
-            assert_eq!(back, c, "version {v}");
+            image[4] = v;
+            assert!(
+                matches!(
+                    Container::from_bytes(&image),
+                    Err(ContainerError::UnsupportedVersion(got)) if got == v
+                ),
+                "version {v}"
+            );
         }
-    }
-
-    #[test]
-    fn legacy_v2_deflated_image_still_reads() {
-        // The v3 body is bit-identical to the v2 body; only the version
-        // byte and trailer differ. Strip them and we have exactly what the
-        // old v2 writer produced.
-        let c = compressible_sample();
-        let encoded: Vec<EncodedSection> = c
-            .sections
-            .iter()
-            .map(|s| encode_section(s, Some(Level::Default)))
-            .collect();
-        let v3 = assemble(c.nprocs, &encoded);
-        let mut v2 = v3[..v3.len() - 4].to_vec();
-        v2[4] = 2;
-        assert_eq!(Container::from_bytes(&v2).unwrap(), c);
-    }
-
-    #[test]
-    fn legacy_payload_corruption_fails_section_crc() {
-        // Pre-v3 images have no whole-image trailer, so the per-section
-        // CRCs are the line of defense — make sure they still are.
-        let c = sample();
-        let img = legacy_image(2, &c);
-        let pos = img
-            .windows(5)
-            .position(|w| w == [1, 2, 3, 4, 5])
-            .expect("payload present");
-        let mut bytes = img.clone();
-        bytes[pos + 2] ^= 0xff;
-        assert!(matches!(
-            Container::from_bytes(&bytes),
-            Err(ContainerError::CrcMismatch { .. })
-        ));
     }
 
     #[test]

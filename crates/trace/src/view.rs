@@ -9,7 +9,7 @@
 //! This module splits the read path into three pieces:
 //!
 //! - [`SectionTable::parse`] validates all framing *without inflating
-//!   anything*: magic, version, the whole-image CRC (v3), body varints, and
+//!   anything*: magic, version, the whole-image CRC, body varints, and
 //!   every per-section CRC. It yields index-based [`SectionInfo`] records
 //!   (byte ranges into the image, not borrowed slices), so the table can be
 //!   stored next to the buffer it describes without self-reference.
@@ -27,7 +27,6 @@
 use crate::codec::{DecodeError, Decoder};
 use crate::container::{
     note_crc_failure, ContainerError, SectionKind, CONTAINER_MAGIC, CONTAINER_VERSION, ENC_DEFLATE,
-    ENC_RAW,
 };
 use cypress_deflate::{crc32, inflate};
 use std::ops::Range;
@@ -79,35 +78,31 @@ pub struct SectionTable {
 impl SectionTable {
     /// Parse and verify container framing over `image`.
     ///
-    /// Checks, in order: magic, version, the whole-image CRC trailer (v3+ —
-    /// verified over the full prefix *before* any body varint is trusted, so
-    /// a corrupted length field can never demand an absurd allocation), body
-    /// framing, and each section's stored-byte CRC. No payload is inflated.
+    /// Checks, in order: magic, version (only [`CONTAINER_VERSION`] is
+    /// read), the whole-image CRC trailer — verified over the full prefix
+    /// *before* any body varint is trusted, so a corrupted length field can
+    /// never demand an absurd allocation — body framing, and each section's
+    /// stored-byte CRC. No payload is inflated.
     pub fn parse(image: &[u8]) -> Result<SectionTable, ContainerError> {
         if image.len() < 5 || image[..4] != CONTAINER_MAGIC {
             return Err(ContainerError::BadMagic);
         }
         let version = image[4];
-        if version == 0 || version > CONTAINER_VERSION {
+        if version != CONTAINER_VERSION {
             return Err(ContainerError::UnsupportedVersion(version));
         }
-        let body_end = if version >= 3 {
-            if image.len() < 9 {
-                return Err(ContainerError::Corrupt(DecodeError(
-                    "image too short for v3 crc trailer".into(),
-                )));
-            }
-            let split = image.len() - 4;
-            let stored = u32::from_le_bytes(image[split..].try_into().unwrap());
-            let computed = crc32(&image[..split]);
-            if stored != computed {
-                note_crc_failure();
-                return Err(ContainerError::ImageCrcMismatch { stored, computed });
-            }
-            split
-        } else {
-            image.len()
-        };
+        if image.len() < 9 {
+            return Err(ContainerError::Corrupt(DecodeError(
+                "image too short for crc trailer".into(),
+            )));
+        }
+        let body_end = image.len() - 4;
+        let stored = u32::from_le_bytes(image[body_end..].try_into().unwrap());
+        let computed = crc32(&image[..body_end]);
+        if stored != computed {
+            note_crc_failure();
+            return Err(ContainerError::ImageCrcMismatch { stored, computed });
+        }
         const BODY_START: usize = 5;
         let body = &image[BODY_START..body_end];
         let mut dec = Decoder::new(body);
@@ -130,30 +125,24 @@ impl SectionTable {
             } else {
                 Some((rank_plus1 - 1) as u32)
             };
-            // Version 1 sections are always raw; versions 2+ carry an
-            // explicit encoding byte (and the decompressed length for
-            // deflated payloads, bounding decompression up front).
-            let (encoding, deflated_len) = if version >= 2 {
-                let e = dec.get_u8()?;
-                if e > ENC_DEFLATE {
+            // Deflated sections carry their decompressed length, bounding
+            // decompression up front.
+            let encoding = dec.get_u8()?;
+            if encoding > ENC_DEFLATE {
+                return Err(ContainerError::Corrupt(DecodeError(format!(
+                    "bad section encoding {encoding}"
+                ))));
+            }
+            let deflated_len = if encoding == ENC_DEFLATE {
+                let n = dec.get_uvar()?;
+                if n > 1 << 32 {
                     return Err(ContainerError::Corrupt(DecodeError(format!(
-                        "bad section encoding {e}"
+                        "absurd section raw length {n}"
                     ))));
                 }
-                let raw_len = if e == ENC_DEFLATE {
-                    let n = dec.get_uvar()?;
-                    if n > 1 << 32 {
-                        return Err(ContainerError::Corrupt(DecodeError(format!(
-                            "absurd section raw length {n}"
-                        ))));
-                    }
-                    Some(n as usize)
-                } else {
-                    None
-                };
-                (e, raw_len)
+                Some(n as usize)
             } else {
-                (ENC_RAW, None)
+                None
             };
             let stored_bytes = dec.get_bytes_ref()?;
             let end = BODY_START + (body.len() - dec.remaining());

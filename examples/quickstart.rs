@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use cypress::store::StoreJob;
 use cypress::trace::codec::Codec;
 use cypress::Pipeline;
 
@@ -68,7 +69,7 @@ fn main() {
     //    re-simulation needed on the read side.
     let path = std::env::temp_dir().join("cypress-quickstart.cytc");
     job.write_container(&path, false).expect("write container");
-    let loaded = cypress::read_container(&path).expect("read container");
+    let loaded = StoreJob::open(&path, "quickstart").expect("open container");
 
     // 5. Decompression (from the reloaded file!) preserves each rank's
     //    exact sequence.

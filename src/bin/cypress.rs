@@ -5,7 +5,7 @@
 //! cypress trace <prog.mpi> -n P -o DIR        write per-rank raw traces
 //! cypress compress <prog.mpi> -n P -o FILE    compress online + merge into a .cytc
 //!   --per-rank                                also store each rank's CTT section
-//!   --level fast|default|best                 DEFLATE container sections (v2 layout)
+//!   --level fast|default|best                 DEFLATE container sections
 //!   --threads N                               parallel section encoding workers
 //! cypress decompress FILE [-r R]              replay rank R (default 0) from a .cytc
 //! cypress inspect FILE [--json]               container header, sections, CRCs,
@@ -52,7 +52,7 @@ use cypress::net::{
     fetch_stats, spawn_tree, submit_ctt, submit_stream, Addr, ClientConfig, Collector,
     CollectorConfig, TreeConfig,
 };
-use cypress::query::{query_container_path, QueryOptions, QueryResult, Strategy, Window};
+use cypress::query::{QueryOptions, QueryResult, Strategy, Window};
 use cypress::runtime::{run_rank_with_sink, trace_program_parallel, InterpConfig};
 use cypress::simmpi::{from_raw_traces, simulate, LogGp, SimOp};
 use cypress::store::{analyze_remote, query_remote, JobStore, QueryClient, StoreConfig, StoreJob};
@@ -60,7 +60,7 @@ use cypress::trace::codec::Codec;
 use cypress::trace::commmatrix::CommMatrix;
 use cypress::trace::raw::RawTrace;
 use cypress::trace::{ContainerView, SectionKind};
-use cypress::{read_container, write_collected_container_with, Error, Pipeline};
+use cypress::{write_collected_container_with, Error, Pipeline};
 use std::fs;
 use std::path::Path;
 use std::process::exit;
@@ -208,7 +208,7 @@ OPTIONS:
   --per-rank   compress/serve: besides the merged tree, store one
                CRC-framed CTT section per rank (needed by analyze)
   --level      compress/serve: DEFLATE container sections at this effort
-               (fast, default, best; omitted = raw v1 layout);
+               (fast, default, best; omitted = raw sections);
                submit --mode ctt: wire compression level, or `none`
   --threads    compress/serve: workers for parallel section encoding
   --hotspots   number of GID hot spots to print (default 10)
@@ -521,7 +521,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
 fn cmd_decompress(args: &[String]) -> CliResult {
     let file = file_arg(args, "compressed trace file")?;
     let rank = rank_of(args)?;
-    let ops = read_container(&file)?.decompress(rank)?;
+    let ops = StoreJob::open(Path::new(&file), &file)?.decompress(rank)?;
     println!("# rank {rank}: {} operations", ops.len());
     for o in &ops {
         let p = &o.params;
@@ -569,23 +569,17 @@ fn cmd_inspect(args: &[String]) -> CliResult {
     let table = view.table();
     let json = has_flag(args, "--json");
 
-    // Meta payload: tool, version, nprocs, then (newer containers) traced
-    // event count and raw MPI byte size (see cypress::pipeline).
-    let mut written_by: Option<(String, String)> = None;
-    let mut events: Option<u64> = None;
-    let mut raw_bytes = 0u64;
-    if let Some(meta) = view.find_payload(SectionKind::Meta) {
-        let mut dec = cypress::trace::Decoder::new(meta?);
-        if let (Ok(tool), Ok(tool_version), Ok(_nprocs)) =
-            (dec.get_str(), dec.get_str(), dec.get_uvar())
-        {
-            written_by = Some((tool, tool_version));
-            if let (Ok(ev), Ok(raw)) = (dec.get_uvar(), dec.get_uvar()) {
-                events = Some(ev);
-                raw_bytes = raw;
-            }
+    // Meta payload: tool, version, nprocs, traced event count and raw MPI
+    // byte size (see cypress::pipeline::meta_payload).
+    let meta = match view.find_payload(SectionKind::Meta) {
+        Some(payload) => {
+            let mut dec = cypress::trace::Decoder::new(payload?);
+            let (tool, tool_version, _nprocs) = (dec.get_str()?, dec.get_str()?, dec.get_uvar()?);
+            Some((tool, tool_version, dec.get_uvar()?, dec.get_uvar()?))
         }
-    }
+        None => None,
+    };
+    let raw_bytes = meta.as_ref().map_or(0, |m| m.3);
     let merged_stats = match table.find(SectionKind::MergedCtt) {
         Some(i) => {
             let merged = MergedCtt::from_bytes(view.payload(i)?)?;
@@ -599,15 +593,13 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         out.push_str(&format!("\"file\":{},", json_str(&file)));
         out.push_str(&format!("\"version\":{},", view.version()));
         out.push_str(&format!("\"nprocs\":{},", view.nprocs()));
-        if let Some((tool, v)) = &written_by {
+        if let Some((tool, v, ev, raw)) = &meta {
             out.push_str(&format!(
                 "\"written_by\":{{\"tool\":{},\"version\":{}}},",
                 json_str(tool),
                 json_str(v)
             ));
-        }
-        if let Some(ev) = events {
-            out.push_str(&format!("\"events\":{ev},\"raw_bytes\":{raw_bytes},"));
+            out.push_str(&format!("\"events\":{ev},\"raw_bytes\":{raw},"));
         }
         out.push_str("\"sections\":[");
         for (i, s) in table.sections().iter().enumerate() {
@@ -647,11 +639,9 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         view.version(),
         view.nprocs()
     );
-    if let Some((tool, v)) = &written_by {
+    if let Some((tool, v, ev, raw)) = &meta {
         println!("written by {tool} {v}");
-    }
-    if let Some(ev) = events {
-        println!("traced {ev} MPI events, raw record size {raw_bytes} B");
+        println!("traced {ev} MPI events, raw record size {raw} B");
     }
     let payload = table.payload_bytes();
     println!("{} sections, {payload} payload bytes:", table.len());
@@ -746,7 +736,7 @@ fn cmd_query(args: &[String]) -> CliResult {
         (format!("{job} @ {addr}"), q)
     } else {
         let file = positional(args, "container file")?;
-        let q = query_container_path(&file, &opts).map_err(Error::from)?;
+        let q = StoreJob::open(Path::new(&file), &file)?.query(&opts)?;
         (file, q)
     };
     render_query(&label, &q, limit, has_flag(args, "--json"));

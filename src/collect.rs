@@ -3,14 +3,13 @@
 //! A [`CollectedJob`](cypress_net::CollectedJob) produced by `cypress serve`
 //! carries exactly what a locally-run [`Pipeline`](crate::Pipeline) job
 //! does — CST, merged CTT, optional per-rank CTTs, event accounting — so
-//! this module makes the two interchangeable: write a collected job into
-//! the same `.cytc` container format ([`write_collected_container`]) and
-//! lift one into a [`LoadedJob`] ([`loaded_from_collected`]) so the
-//! query/inspect/decompress surface works on it unchanged. Byte-identity
-//! between the two paths is pinned by `tests/net_collect.rs`.
+//! this module writes a collected job into the same `.cytc` container
+//! format ([`write_collected_container`]), and the query/inspect/decompress
+//! surface works on it unchanged. Byte-identity between the two paths is
+//! pinned by `tests/net_collect.rs`.
 
 use crate::error::Result;
-use crate::pipeline::{meta_payload, write_container_parallel, LoadedJob, MetaInfo};
+use crate::pipeline::{meta_payload, write_container_parallel};
 use cypress_deflate::Level;
 use cypress_net::CollectedJob;
 use cypress_trace::{Codec, Container, SectionKind};
@@ -59,32 +58,12 @@ pub fn write_collected_container_with(
     Ok(())
 }
 
-/// Lift a collected job into the [`LoadedJob`] surface without a disk
-/// round trip, so query/decompress work on it exactly as on a reloaded
-/// container.
-pub fn loaded_from_collected(job: CollectedJob) -> LoadedJob {
-    LoadedJob {
-        nprocs: job.nprocs,
-        meta: Some(MetaInfo {
-            tool: "cypress".into(),
-            version: env!("CARGO_PKG_VERSION").into(),
-            nprocs: job.nprocs,
-            events: job.total_events,
-            raw_bytes: job.raw_mpi_bytes,
-        }),
-        cst: job.cst,
-        merged: Some(job.merged),
-        rank_ctts: job.rank_ctts,
-        telemetry: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::read_container;
-    use crate::Pipeline;
+    use crate::{Pipeline, QueryOptions};
     use cypress_core::merge_all;
+    use cypress_store::StoreJob;
 
     const SRC: &str = r#"fn main() {
         for it in 0..24 {
@@ -97,7 +76,7 @@ mod tests {
 
     /// Build a CollectedJob out of a local pipeline run (the loopback
     /// network path itself is pinned in crates/net and tests/net_collect.rs;
-    /// here we only exercise the container/LoadedJob bridge).
+    /// here we only exercise the container writer).
     fn fake_collected(nprocs: u32) -> (CollectedJob, crate::CompressedJob) {
         let job = Pipeline::new(SRC).ranks(nprocs).run().unwrap();
         let merged = merge_all(&job.ctts);
@@ -123,12 +102,15 @@ mod tests {
         let (collected, job) = fake_collected(4);
         write_collected_container(&collected, &path, true).unwrap();
 
-        let loaded = read_container(&path).unwrap();
-        assert_eq!(loaded.nprocs, 4);
-        let meta = loaded.meta.as_ref().unwrap();
-        assert_eq!(meta.tool, "cypress");
-        assert_eq!(meta.events, job.total_events());
-        assert_eq!(loaded.rank_ctts.len(), 4);
+        let container = Container::read_file(&path).unwrap();
+        assert_eq!(
+            container.find(SectionKind::Meta).unwrap().payload,
+            meta_payload(4, job.total_events(), job.raw_mpi_bytes()),
+            "meta must carry the tool, world size, event count and raw bytes"
+        );
+        let loaded = StoreJob::open(&path, "collected").unwrap();
+        assert_eq!(loaded.nprocs(), 4);
+        assert_eq!(loaded.rank_count(), 4);
         for rank in 0..4 {
             assert_eq!(
                 loaded.decompress(rank).unwrap(),
@@ -136,15 +118,12 @@ mod tests {
                 "rank {rank}"
             );
         }
+        let opts = QueryOptions::default();
+        assert_eq!(
+            loaded.query(&opts).unwrap(),
+            job.query().unwrap(),
+            "collected and local query results must match"
+        );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn loaded_from_collected_queries_like_local() {
-        let (collected, job) = fake_collected(3);
-        let loaded = loaded_from_collected(collected);
-        let a = loaded.query().unwrap();
-        let b = job.query().unwrap();
-        assert_eq!(a, b, "collected and local query results must match");
     }
 }

@@ -104,16 +104,11 @@ impl From<String> for Error {
     }
 }
 
-/// Compressed-domain query failures map onto the layer they came from.
+/// Compressed-domain query failures are bad input.
 impl From<cypress_query::QueryError> for Error {
     fn from(e: cypress_query::QueryError) -> Self {
-        match e {
-            cypress_query::QueryError::Container(c) => Error::Container(c),
-            cypress_query::QueryError::Decode(d) => Error::Decode(d),
-            cypress_query::QueryError::BadCst(msg) | cypress_query::QueryError::Invalid(msg) => {
-                Error::Invalid(msg)
-            }
-        }
+        let cypress_query::QueryError::Invalid(msg) = e;
+        Error::Invalid(msg)
     }
 }
 

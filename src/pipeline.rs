@@ -33,15 +33,15 @@
 use crate::error::{Error, Result};
 use cypress_core::{
     compress_trace, decompress, merge_all_parallel, CompressConfig, CompressSession, Ctt,
-    MergedCtt, MergedVertex, ReplayOp, SessionConfig, SessionStats, VertexData,
+    MergedCtt, ReplayOp, SessionConfig, SessionStats,
 };
-use cypress_cst::{analyze_program, Cst, StaticInfo, VertexKind};
+use cypress_cst::{analyze_program, StaticInfo};
 use cypress_deflate::Level;
 use cypress_minilang::{check_program, parse};
-use cypress_query::{query_ctts, query_merged, QueryOptions, QueryResult};
+use cypress_query::{query_ctts, QueryOptions, QueryResult};
 use cypress_runtime::{run_rank_with_sink, run_ranks, trace_program_parallel, InterpConfig};
 use cypress_trace::{
-    assemble, encode_section, Codec, Container, ContainerError, Decoder, EncodedSection, Encoder,
+    assemble, encode_section, Codec, Container, ContainerError, EncodedSection, Encoder,
     SectionKind,
 };
 use std::path::Path;
@@ -413,32 +413,8 @@ impl CompressedJob {
     }
 }
 
-/// Tool metadata stored in a container's `Meta` section.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetaInfo {
-    pub tool: String,
-    pub version: String,
-    pub nprocs: u32,
-    /// Total MPI events the job traced (0 in containers written before the
-    /// field existed).
-    pub events: u64,
-    /// Serialized size of the raw MPI records before compression (0 when
-    /// unknown: batch-path jobs and older containers).
-    pub raw_bytes: u64,
-}
-
-impl MetaInfo {
-    /// Raw-over-compressed compression ratio against a given compressed
-    /// size, when the raw size is known.
-    pub fn compression_ratio(&self, compressed_bytes: usize) -> Option<f64> {
-        if self.raw_bytes == 0 || compressed_bytes == 0 {
-            None
-        } else {
-            Some(self.raw_bytes as f64 / compressed_bytes as f64)
-        }
-    }
-}
-
+/// The `Meta` section payload: tool name and version, world size, traced
+/// event count, and raw MPI record bytes (`cypress inspect` reads it).
 pub(crate) fn meta_payload(nprocs: u32, events: u64, raw_bytes: u64) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_str("cypress");
@@ -447,168 +423,6 @@ pub(crate) fn meta_payload(nprocs: u32, events: u64, raw_bytes: u64) -> Vec<u8> 
     enc.put_uvar(events);
     enc.put_uvar(raw_bytes);
     enc.finish()
-}
-
-fn parse_meta(payload: &[u8]) -> Result<MetaInfo> {
-    let mut dec = Decoder::new(payload);
-    let tool = dec.get_str()?;
-    let version = dec.get_str()?;
-    let nprocs = dec.get_uvar()? as u32;
-    // Trailing fields added after v0 containers shipped: absent means 0.
-    let events = if dec.is_done() { 0 } else { dec.get_uvar()? };
-    let raw_bytes = if dec.is_done() { 0 } else { dec.get_uvar()? };
-    Ok(MetaInfo {
-        tool,
-        version,
-        nprocs,
-        events,
-        raw_bytes,
-    })
-}
-
-/// A compression job reloaded from a container file — everything needed to
-/// inspect or decompress without re-running the simulation.
-pub struct LoadedJob {
-    pub nprocs: u32,
-    pub meta: Option<MetaInfo>,
-    pub cst: Cst,
-    pub merged: Option<MergedCtt>,
-    /// Rank-scoped CTT sections, in file order.
-    pub rank_ctts: Vec<Ctt>,
-    /// How the job was produced, when the writer traced itself
-    /// (`cypress compress --trace-out`); absent otherwise.
-    pub telemetry: Option<crate::telemetry::TelemetrySummary>,
-}
-
-impl LoadedJob {
-    /// Run the compressed-domain query suite on the loaded job. A complete
-    /// per-rank CTT set is preferred (exact per-rank timing); otherwise the
-    /// query runs on the merged tree.
-    pub fn query(&self) -> Result<QueryResult> {
-        self.query_with(&QueryOptions::default())
-    }
-
-    /// [`LoadedJob::query`] with explicit strategy/reporting knobs.
-    pub fn query_with(&self, opts: &QueryOptions) -> Result<QueryResult> {
-        let complete = self.rank_ctts.len() as u32 == self.nprocs
-            && self.nprocs > 0
-            && (0..self.nprocs).all(|r| self.rank_ctts.iter().any(|c| c.rank == r));
-        if complete {
-            return Ok(query_ctts(&self.cst, &self.rank_ctts, opts)?);
-        }
-        if let Some(merged) = &self.merged {
-            return Ok(query_merged(&self.cst, merged, opts)?);
-        }
-        Err(Error::Container(ContainerError::MissingSection(
-            "merged-ctt or complete rank-ctt set",
-        )))
-    }
-
-    /// Replay one rank's sequence, preferring its dedicated section and
-    /// falling back to extraction from the merged tree.
-    pub fn decompress(&self, rank: u32) -> Result<Vec<ReplayOp>> {
-        if rank >= self.nprocs {
-            return Err(Error::Invalid(format!(
-                "rank {rank} out of 0..{}",
-                self.nprocs
-            )));
-        }
-        if let Some(ctt) = self.rank_ctts.iter().find(|c| c.rank == rank) {
-            check_shape(&self.cst, ctt.data.len(), |gid, kind| {
-                data_fits(&ctt.data[gid], kind)
-            })?;
-            return Ok(decompress(&self.cst, ctt));
-        }
-        if let Some(merged) = &self.merged {
-            check_shape(
-                &self.cst,
-                merged.vertices.len(),
-                |gid, kind| match &merged.vertices[gid] {
-                    MergedVertex::Empty => true,
-                    MergedVertex::Leaf(_) => leaf_kind(kind),
-                    MergedVertex::Control(groups) => groups.iter().all(|(_, d)| data_fits(d, kind)),
-                },
-            )?;
-            return Ok(decompress(&self.cst, &merged.extract_rank(rank, &self.cst)));
-        }
-        Err(Error::Container(ContainerError::MissingSection(
-            "merged-ctt or rank-ctt",
-        )))
-    }
-}
-
-/// A container's CST section must have the shape of the CTT it decodes:
-/// one vertex per CTT vertex, each holding data of its vertex's kind. The
-/// CRCs cannot catch a CST from another program, and the decompressor
-/// assumes the shapes agree, so a mismatch is rejected here instead.
-fn check_shape(
-    cst: &Cst,
-    vertices: usize,
-    fits: impl Fn(usize, &VertexKind) -> bool,
-) -> Result<()> {
-    if vertices != cst.len() {
-        return Err(Error::Invalid(format!(
-            "cst section has {} vertices but the ctt has {vertices}",
-            cst.len()
-        )));
-    }
-    match (0..vertices).find(|&gid| !fits(gid, &cst.vertex(gid).kind)) {
-        Some(gid) => Err(Error::Invalid(format!(
-            "cst vertex {gid} does not match the ctt's vertex kind"
-        ))),
-        None => Ok(()),
-    }
-}
-
-fn leaf_kind(kind: &VertexKind) -> bool {
-    matches!(kind, VertexKind::Mpi { .. } | VertexKind::UserCall { .. })
-}
-
-fn data_fits(data: &VertexData, kind: &VertexKind) -> bool {
-    match data {
-        VertexData::Root => matches!(kind, VertexKind::Root),
-        VertexData::Loop { .. } => matches!(kind, VertexKind::Loop { .. }),
-        VertexData::Branch { .. } => matches!(kind, VertexKind::Branch { .. }),
-        VertexData::Leaf { .. } => leaf_kind(kind),
-    }
-}
-
-/// Load and verify a container file written by
-/// [`CompressedJob::write_container`].
-pub fn read_container(path: impl AsRef<Path>) -> Result<LoadedJob> {
-    let c = Container::read_file(path)?;
-    let cst_text = c
-        .find(SectionKind::CstText)
-        .ok_or(Error::Container(ContainerError::MissingSection("cst-text")))?;
-    let cst_text = String::from_utf8(cst_text.payload.clone())
-        .map_err(|e| Error::Invalid(format!("cst section is not utf-8: {e}")))?;
-    let cst = Cst::from_text(&cst_text)?;
-
-    let meta = match c.find(SectionKind::Meta) {
-        Some(s) => Some(parse_meta(&s.payload)?),
-        None => None,
-    };
-    let merged = match c.find(SectionKind::MergedCtt) {
-        Some(s) => Some(MergedCtt::from_bytes(&s.payload)?),
-        None => None,
-    };
-    let rank_ctts = c
-        .rank_sections()
-        .map(|s| Ctt::from_bytes(&s.payload))
-        .collect::<std::result::Result<Vec<_>, _>>()?;
-    let telemetry = match c.find(SectionKind::Telemetry) {
-        Some(s) => Some(crate::telemetry::TelemetrySummary::from_bytes(&s.payload)?),
-        None => None,
-    };
-
-    Ok(LoadedJob {
-        nprocs: c.nprocs,
-        meta,
-        cst,
-        merged,
-        rank_ctts,
-        telemetry,
-    })
 }
 
 #[cfg(test)]
@@ -659,10 +473,15 @@ mod tests {
         let mut job = Pipeline::new(STENCIL).ranks(4).run().unwrap();
         job.write_container(&path, true).unwrap();
 
-        let loaded = read_container(&path).unwrap();
-        assert_eq!(loaded.nprocs, 4);
-        assert_eq!(loaded.meta.as_ref().unwrap().tool, "cypress");
-        assert_eq!(loaded.rank_ctts.len(), 4);
+        let container = Container::read_file(&path).unwrap();
+        assert_eq!(
+            container.find(SectionKind::Meta).unwrap().payload,
+            meta_payload(4, job.total_events(), job.raw_mpi_bytes()),
+            "meta must carry the tool, world size, event count and raw bytes"
+        );
+        let loaded = cypress_store::StoreJob::open(&path, "job").unwrap();
+        assert_eq!(loaded.nprocs(), 4);
+        assert_eq!(loaded.rank_count(), 4);
         for rank in 0..4 {
             assert_eq!(
                 loaded.decompress(rank).unwrap(),

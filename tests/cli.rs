@@ -303,24 +303,33 @@ fn decompress_rejects_bad_rank_and_mismatched_cst() {
     .unwrap();
     let flat = compress(&flat, "2");
 
-    let decompress = |container: &Path, rank: &str| {
+    // `args` is the command, then the container, then `flags`.
+    let run = |(args, flags): (&[&str], &[&str]), container: &Path| {
         let out = cypress()
-            .arg("decompress")
+            .args(args)
             .arg(container)
-            .args(["-r", rank])
+            .args(flags)
             .output()
-            .expect("run decompress");
+            .expect("run cypress");
         (
             out.status.code(),
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
-    let (code, stderr) = decompress(&ring, "99");
+    let (code, stderr) = run((&["decompress"], &["-r", "99"]), &ring);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("rank 99 out of 0..16"), "{stderr}");
 
     // A CST from another program — smaller, larger, or the same size with
-    // other kinds — against per-rank sections and against the merged tree.
+    // other kinds — against per-rank sections and against the merged tree,
+    // through every command that reads a job.
+    let readers: [(&[&str], &[&str]); 5] = [
+        (&["decompress"], &["-r", "0"]),
+        (&["query"], &[]),
+        (&["query"], &["--strategy", "expand"]),
+        (&["analyze", "predict"], &[]),
+        (&["analyze", "latesender"], &[]),
+    ];
     for per_rank in [true, false] {
         for (ctts, cst, want) in [
             (&ring, &tiny, "vertices"),
@@ -329,9 +338,12 @@ fn decompress_rejects_bad_rank_and_mismatched_cst() {
         ] {
             let bad = dir.join("bad.cytc");
             swap_cst(ctts, cst, per_rank, &bad);
-            let (code, stderr) = decompress(&bad, "0");
-            assert_eq!(code, Some(1), "per_rank={per_rank}: {stderr}");
-            assert!(stderr.contains(want), "per_rank={per_rank}: {stderr}");
+            for args in readers {
+                let (code, stderr) = run(args, &bad);
+                let ctx = format!("{args:?} per_rank={per_rank}");
+                assert_eq!(code, Some(1), "{ctx}: {stderr}");
+                assert!(stderr.contains(want), "{ctx}: {stderr}");
+            }
         }
     }
 }

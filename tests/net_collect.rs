@@ -14,10 +14,11 @@ use cypress::net::{
     SubmitMode, PROTO_VERSION,
 };
 use cypress::runtime::{run_rank_with_sink, InterpConfig};
+use cypress::store::StoreJob;
 use cypress::trace::event::Event;
 use cypress::trace::Codec;
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
-use cypress::{read_container, write_collected_container, Pipeline};
+use cypress::{write_collected_container, Pipeline, QueryOptions};
 use std::time::Duration;
 
 const STENCIL: &str = r#"fn main() {
@@ -213,9 +214,9 @@ fn every_bundled_workload_collects_identically() {
         // exactly like the local pipeline.
         let path = dir.join(format!("{name}.cytc"));
         write_collected_container(&job, &path, true).unwrap();
-        let loaded = read_container(&path).unwrap();
+        let loaded = StoreJob::open(&path, name).unwrap();
         assert_eq!(
-            loaded.query().unwrap(),
+            loaded.query(&QueryOptions::default()).unwrap(),
             local.query().unwrap(),
             "{name}: query results differ"
         );

@@ -11,8 +11,9 @@ use cypress::core::{compress_trace, merge_all, CompressConfig};
 use cypress::query::{
     query_by_decompression, query_ctts, query_merged, QueryOptions, QueryResult, Strategy,
 };
+use cypress::store::StoreJob;
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
-use cypress::{read_container, Pipeline};
+use cypress::Pipeline;
 
 fn assert_same(name: &str, q: &QueryResult, r: &QueryResult) {
     assert_eq!(q.nprocs, r.nprocs, "{name}: nprocs");
@@ -124,8 +125,10 @@ fn container_round_trip_preserves_query_results() {
         // bit-identical to the in-memory one.
         let path = dir.join(format!("{name}_ranks.cytc"));
         job.write_container(&path, true).unwrap();
-        let q = read_container(&path).unwrap().query().unwrap();
+        let opts = QueryOptions::default();
+        let q = StoreJob::open(&path, name).unwrap().query(&opts).unwrap();
         assert_same(&format!("{name} per_rank"), &q, &direct);
+        assert_eq!(q, direct, "{name} per_rank");
 
         // A merged-only container evaluates on the merged CTT, whose
         // TimeStats are aggregated across each group's member ranks — the
@@ -133,8 +136,14 @@ fn container_round_trip_preserves_query_results() {
         // attribution must still match exactly.
         let path = dir.join(format!("{name}_merged.cytc"));
         job.write_container(&path, false).unwrap();
-        let q = read_container(&path).unwrap().query().unwrap();
+        let q = StoreJob::open(&path, name).unwrap().query(&opts).unwrap();
         let ctx = format!("{name} merged");
+        let merged = job.merged.as_ref().expect("merged by write_container");
+        assert_eq!(
+            q,
+            query_merged(&job.info.cst, merged, &opts).unwrap(),
+            "{ctx}"
+        );
         assert_eq!(q.matrix, direct.matrix, "{ctx}: comm matrix diverged");
         assert_eq!(q.totals, direct.totals, "{ctx}: rank totals diverged");
         assert_eq!(q.hotspots, direct.hotspots, "{ctx}: hot spots diverged");

@@ -1,9 +1,10 @@
 //! End-to-end identity across the three query paths: for bundled
-//! workloads, the eager local load ([`cypress::LoadedJob`]), the zero-copy
-//! store ([`cypress::store::JobStore`]), and the resident daemon must
-//! produce byte-identical answers — same canonical wire bytes, same JSON.
-//! Also pins the analysis frames (protocol v3) and both directions of
-//! version negotiation on the query port.
+//! workloads, the writer's in-memory CTTs ([`cypress::CompressedJob`]), the
+//! zero-copy store ([`cypress::store::JobStore`]), and the resident daemon
+//! must produce byte-identical answers — same canonical wire bytes, same
+//! JSON.
+//! Also pins the analysis frames and both directions of frame-code
+//! compatibility on the query port.
 
 use cypress::analysis::AnalyzeOptions;
 use cypress::net::proto::{codes, read_frame, write_frame, Frame};
@@ -41,16 +42,19 @@ impl Drop for TempDir {
 fn all_three_query_paths_agree_on_bundled_workloads() {
     let tmp = TempDir::new("identity");
     let names = ["jacobi", "cg", "dt", "mg"];
-    for name in names {
-        let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
-        let mut job = Pipeline::new(w.source)
-            .ranks(w.nprocs)
-            .run()
-            .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"));
-        job.merge();
-        job.write_container_with(tmp.0.join(format!("{name}.cytc")), true, None)
-            .unwrap();
-    }
+    let jobs: Vec<_> = names
+        .iter()
+        .map(|name| {
+            let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
+            let mut job = Pipeline::new(w.source)
+                .ranks(w.nprocs)
+                .run()
+                .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"));
+            job.write_container_with(tmp.0.join(format!("{name}.cytc")), true, None)
+                .unwrap();
+            job
+        })
+        .collect();
 
     let store = Arc::new(JobStore::new(&tmp.0, StoreConfig::default()).unwrap());
     let addr = cypress::net::Addr::parse("127.0.0.1:0").unwrap();
@@ -64,8 +68,7 @@ fn all_three_query_paths_agree_on_bundled_workloads() {
             window: None,
         },
     ];
-    for name in names {
-        let local = cypress::read_container(tmp.0.join(format!("{name}.cytc"))).unwrap();
+    for (name, local) in names.into_iter().zip(&jobs) {
         for opt in &opts {
             let reference = local.query_with(opt).unwrap();
             let via_store = store.open(name).unwrap().query(opt).unwrap();

@@ -4,6 +4,7 @@
 
 use cypress::core::{merge_all, merge_all_parallel};
 use cypress::runtime::InterpConfig;
+use cypress::store::StoreJob;
 use cypress::trace::codec::Codec;
 use cypress::trace::event::{MpiOp, MpiParams};
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
@@ -137,9 +138,9 @@ fn container_round_trips_all_workloads() {
             .unwrap();
         job.write_container(&path, false).unwrap();
 
-        let loaded = cypress::read_container(&path)
-            .unwrap_or_else(|e| panic!("{name}: read_container failed: {e}"));
-        assert_eq!(loaded.nprocs, w.nprocs, "{name}");
+        let loaded = StoreJob::open(&path, name)
+            .unwrap_or_else(|e| panic!("{name}: StoreJob::open failed: {e}"));
+        assert_eq!(loaded.nprocs(), w.nprocs, "{name}");
         for t in &traces {
             let replay = loaded
                 .decompress(t.rank)
@@ -155,30 +156,25 @@ fn container_round_trips_all_workloads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Per-rank sections take the dedicated-section path in `LoadedJob` and must
-/// agree with merged-tree extraction.
+/// Per-rank sections take the dedicated-section path in `StoreJob` and must
+/// agree with extraction from the merged tree of a container written
+/// without them.
 #[test]
 fn per_rank_sections_agree_with_merged_extraction() {
     let dir = tmpdir("per-rank");
     let w = by_name("cg", 8, Scale::Quick).unwrap();
-    let path = dir.join("cg.cytc");
+    let with_ranks = dir.join("cg.cytc");
+    let merged_only = dir.join("cg-merged.cytc");
     let mut job = Pipeline::new(w.source.clone()).ranks(8).run().unwrap();
-    job.write_container(&path, true).unwrap();
+    job.write_container(&with_ranks, true).unwrap();
+    job.write_container(&merged_only, false).unwrap();
 
-    let loaded = cypress::read_container(&path).unwrap();
-    assert_eq!(loaded.rank_ctts.len(), 8);
+    let with_ranks = StoreJob::open(&with_ranks, "cg").unwrap();
+    let merged_only = StoreJob::open(&merged_only, "cg-merged").unwrap();
+    assert_eq!(with_ranks.rank_count(), 8);
+    assert_eq!(merged_only.rank_count(), 0);
     for rank in 0..8u32 {
-        // Dedicated section…
-        let via_section = loaded.decompress(rank).unwrap();
-        // …vs extraction from the merged tree only.
-        let merged_only = cypress::LoadedJob {
-            nprocs: loaded.nprocs,
-            meta: None,
-            cst: loaded.cst.clone(),
-            merged: loaded.merged.clone(),
-            rank_ctts: Vec::new(),
-            telemetry: None,
-        };
+        let via_section = with_ranks.decompress(rank).unwrap();
         let via_merged = merged_only.decompress(rank).unwrap();
         assert_eq!(strip_replay(&via_section), strip_replay(&via_merged));
     }
@@ -376,7 +372,7 @@ fn parallel_container_encoding_identical_to_sequential() {
         assert_eq!(a, b, "{name}: parallel encoding changed container bytes");
 
         // And the compressed container still round-trips.
-        let loaded = cypress::read_container(&p_par).unwrap();
+        let loaded = StoreJob::open(&p_par, name).unwrap();
         let traces = w.trace().unwrap();
         for t in &traces {
             let replay = loaded.decompress(t.rank).unwrap();
