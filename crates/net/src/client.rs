@@ -1,5 +1,6 @@
 //! The submitting side: connect/send retry with exponential backoff,
-//! per-request timeouts, and a drain-on-finish handshake.
+//! per-request timeouts, and a drain-on-finish handshake; plus
+//! [`fetch_stats`], the one telemetry poll every daemon answers.
 //!
 //! Streaming submission is **replayable by construction**: the caller
 //! passes a producer closure that regenerates the rank's event stream into
@@ -392,6 +393,24 @@ pub fn submit_merged_blocks(
             ranks_done,
         })
     })
+}
+
+/// Ask a running daemon (collector, relay, tree root or queryd) for its
+/// live telemetry [`Report`](cypress_obs::Report) over one fresh
+/// connection.
+pub fn fetch_stats(addr: &Addr, timeout: Duration) -> Result<cypress_obs::Report, NetError> {
+    let mut stream = Stream::connect(addr, timeout)?;
+    stream.set_io_timeout(timeout)?;
+    cypress_obs::trace_instant("net", "stats_fetch", 0);
+    write_frame(&mut stream, &Frame::StatsRequest)?;
+    match read_frame(&mut stream)? {
+        Frame::Stats { report } => Ok(report),
+        Frame::Error { code, message } => Err(NetError::Remote { code, message }),
+        f => Err(NetError::Protocol(format!(
+            "expected Stats, got {}",
+            f.name()
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -10,11 +10,16 @@
 //! [`crate::poll`]), each multiplexing many non-blocking sockets: every
 //! connection owns a reusable [`FrameBuf`] rx buffer and a pending-tx
 //! buffer, and a per-connection state machine ([`ConnState`]) advances on
-//! whatever frames arrived. Loop 0 additionally owns the job and stats
-//! listeners; accepted sockets are dealt round-robin to the loops through
+//! whatever frames arrived. Loop 0 additionally owns the listener;
+//! accepted sockets are dealt round-robin to the loops through
 //! waker-signalled mailboxes. Nothing in this crate sleeps on a timer: the
 //! loops block in `poll(2)` until a socket, a peer loop, a deadline, or
 //! completion wakes them.
+//!
+//! Telemetry rides the same listener: a connection whose first frame is
+//! `StatsRequest` gets one [`Report`] of the collection so far (job size,
+//! merge progress, client counts by state, batch-size and merge-step
+//! histograms) and is closed. Every role answers it.
 //!
 //! Two roles share the same machinery:
 //!
@@ -42,7 +47,6 @@
 use crate::client::ClientConfig;
 use crate::poll::{PollSet, Waker};
 use crate::proto::{codes, encode_frame_into, Frame, FrameBuf, SubmitMode, PROTO_VERSION};
-use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 use crate::transport::{Addr, Listener, Stream};
 use crate::{obs, NetError};
 use cypress_core::{
@@ -50,10 +54,11 @@ use cypress_core::{
 };
 use cypress_cst::Cst;
 use cypress_deflate::crc32;
-use cypress_obs::{obs_log, Level};
+use cypress_obs::{obs_log, Level, MetricSnapshot, Report};
 use cypress_trace::codec::Codec;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -77,11 +82,6 @@ pub struct CollectorConfig {
     pub compress: CompressConfig,
     /// Session knobs for server-side sessions (stream mode).
     pub session: SessionConfig,
-    /// Serve live [`Stats`] snapshots on a second endpoint
-    /// (`cypress serve --stats-addr`). `None` disables telemetry.
-    /// Ephemeral-port callers (tests) should prefer
-    /// [`Collector::bind_stats`], which reports the resolved address.
-    pub stats_addr: Option<Addr>,
 }
 
 impl Default for CollectorConfig {
@@ -93,7 +93,6 @@ impl Default for CollectorConfig {
             deadline: None,
             compress: CompressConfig::default(),
             session: SessionConfig::default(),
-            stats_addr: None,
         }
     }
 }
@@ -170,28 +169,33 @@ struct Inner {
     peak_ctt_bytes: usize,
     done: bool,
     fatal: Option<String>,
-    /// Per-rank submission state and received-event counts, feeding the
-    /// live [`Stats`] snapshot. Rank-keyed: a retry of a merged rank never
-    /// regresses its state.
-    clients: BTreeMap<u32, (ClientState, u64)>,
+    clients: ClientCounts,
+}
+
+/// Rank submissions (stream or ctt mode) by state, counted at the Hello,
+/// merge and abort transitions under the collection lock those already
+/// take.
+#[derive(Default)]
+struct ClientCounts {
+    /// Accepted by `Hello`, not yet merged or dropped.
+    streaming: u64,
+    /// Merged into the binomial tree.
+    merged: u64,
+    /// Dropped mid-protocol; the partial session was discarded and a retry
+    /// is expected.
+    aborted: u64,
+    /// Retries of an already-merged rank, acknowledged and discarded.
+    duplicate: u64,
 }
 
 struct State {
     job: OnceLock<JobInfo>,
     inner: Mutex<Inner>,
     started: Instant,
-}
-
-impl State {
-    /// Mark a rank's submission state, never downgrading `Merged` (a late
-    /// duplicate or abort of a rank that already landed changes nothing).
-    fn mark_client(&self, rank: u32, st: ClientState) {
-        let mut g = self.inner.lock().unwrap();
-        let e = g.clients.entry(rank).or_insert((st, 0));
-        if e.0 != ClientState::Merged {
-            e.0 = st;
-        }
-    }
+    /// Events received so far: streamed `Events` frames as they arrive,
+    /// plus the record counts of ctt submissions and relay blocks as they
+    /// merge. Relaxed, so the `Events` path takes no lock.
+    events_rx: AtomicU64,
 }
 
 /// Which slice of the job this collector is responsible for.
@@ -212,10 +216,9 @@ impl Role {
     }
 }
 
-/// Collector-side measurements feeding the `Stats` quantile rows. These use
-/// the ungated [`cypress_obs::Histogram::record`] path so the stats
-/// endpoint reports real numbers whether or not the daemon runs with
-/// metrics enabled.
+/// Collector-side measurements feeding the stats [`Report`]. These use the
+/// ungated [`cypress_obs::Histogram::record`] path so a stats poll reports
+/// real numbers whether or not the daemon runs with metrics enabled.
 struct CollectorHists {
     /// Events per `Events` frame (client batch sizes as received).
     batch_events: cypress_obs::Histogram,
@@ -278,7 +281,6 @@ enum ConnState<'a> {
     Blocks {
         nblocks: u64,
     },
-    AwaitStatsReq,
     /// Terminal: everything left to do is flush `tx` and close.
     Done,
 }
@@ -289,6 +291,9 @@ struct Conn<'a> {
     tx: Vec<u8>,
     tx_pos: usize,
     state: ConnState<'a>,
+    /// The rank this connection submits while its submission is in flight
+    /// (counted in [`ClientCounts::streaming`]); cleared once it merges or
+    /// is dropped.
     rank: Option<u32>,
     last_activity: Instant,
     /// Close (after flushing `tx`) instead of reading further frames.
@@ -357,27 +362,27 @@ impl<'a> Conn<'a> {
         self.stream.shutdown();
     }
 
-    /// Abort bookkeeping for a connection dropped mid-protocol.
-    fn abort(&self, sh: Shared<'_>, why: &str) {
+    /// Count an in-flight submission as aborted (at most once).
+    fn drop_submission(&mut self, sh: Shared<'_>) {
         if matches!(self.state, ConnState::Streaming { .. }) && cypress_obs::enabled() {
             obs().sessions_aborted.inc();
         }
-        if let Some(rank) = self.rank {
-            if !matches!(self.state, ConnState::Done) {
-                sh.state.mark_client(rank, ClientState::Aborted);
-            }
+        if self.rank.take().is_some() {
+            let mut g = sh.state.inner.lock().unwrap();
+            g.clients.streaming -= 1;
+            g.clients.aborted += 1;
         }
+    }
+
+    /// Abort bookkeeping for a connection dropped mid-protocol.
+    fn abort(&mut self, sh: Shared<'_>, why: &str) {
+        self.drop_submission(sh);
         obs_log!(Level::Warn, "net", "connection dropped: {why}");
     }
 
     /// Reject with an `Error` frame and enter the flush-and-close path.
     fn fail(&mut self, sh: Shared<'_>, code: u16, message: String) {
-        if matches!(self.state, ConnState::Streaming { .. }) && cypress_obs::enabled() {
-            obs().sessions_aborted.inc();
-        }
-        if let Some(rank) = self.rank {
-            sh.state.mark_client(rank, ClientState::Aborted);
-        }
+        self.drop_submission(sh);
         obs_log!(
             Level::Warn,
             "net",
@@ -395,14 +400,12 @@ impl<'a> Conn<'a> {
 /// before clients start.
 pub struct Collector {
     listener: Listener,
-    stats_listener: Option<Listener>,
 }
 
 impl Collector {
     pub fn bind(addr: &Addr) -> Result<Collector, NetError> {
         Ok(Collector {
             listener: Listener::bind(addr)?,
-            stats_listener: None,
         })
     }
 
@@ -411,32 +414,11 @@ impl Collector {
         self.listener.local_addr()
     }
 
-    /// Bind the live-telemetry endpoint up front and return its resolved
-    /// address. Takes precedence over [`CollectorConfig::stats_addr`];
-    /// callers using ephemeral ports (tests, `--stats-addr 127.0.0.1:0`)
-    /// need the resolved address before `run` blocks.
-    pub fn bind_stats(&mut self, addr: &Addr) -> Result<Addr, NetError> {
-        let l = Listener::bind(addr)?;
-        let resolved = l.local_addr()?;
-        self.stats_listener = Some(l);
-        Ok(resolved)
-    }
-
     /// Serve until every rank of the job (sized by the first `Hello`) is
     /// merged, then return the collected job. Blocks the calling thread
     /// (which runs event loop 0).
-    pub fn run(mut self, cfg: &CollectorConfig) -> Result<CollectedJob, NetError> {
-        if self.stats_listener.is_none() {
-            if let Some(addr) = &cfg.stats_addr {
-                self.bind_stats(addr)?;
-            }
-        }
-        let (job, inner) = run_core(
-            &self.listener,
-            self.stats_listener.as_ref(),
-            cfg,
-            Role::Root,
-        )?;
+    pub fn run(self, cfg: &CollectorConfig) -> Result<CollectedJob, NetError> {
+        let (job, inner) = run_core(&self.listener, cfg, Role::Root)?;
         let job = job.ok_or_else(|| NetError::Collect("no client ever connected".into()))?;
         let merger = inner
             .merger
@@ -459,8 +441,8 @@ impl Collector {
     /// Serve as a mid-tier relay: collect ranks
     /// `[cfg.first_rank, cfg.last_rank)`, then forward the shard's merged
     /// buddy blocks to `cfg.upstream` and return a summary. Per-rank CTT
-    /// retention and the stats endpoint are root-only concerns and are
-    /// disabled here regardless of `cfg.collector`.
+    /// retention is a root-only concern and is disabled here regardless of
+    /// `cfg.collector`.
     pub fn run_relay(self, cfg: &RelayConfig) -> Result<RelaySummary, NetError> {
         if cfg.first_rank >= cfg.last_rank || cfg.last_rank > cfg.nprocs {
             return Err(NetError::Collect(format!(
@@ -470,14 +452,13 @@ impl Collector {
         }
         let mut ccfg = cfg.collector.clone();
         ccfg.keep_rank_ctts = false;
-        ccfg.stats_addr = None;
         let role = Role::Relay {
             first: cfg.first_rank,
             last: cfg.last_rank,
             nprocs: cfg.nprocs,
         };
-        let Collector { listener, .. } = self;
-        let (job, inner) = run_core(&listener, None, &ccfg, role)?;
+        let Collector { listener } = self;
+        let (job, inner) = run_core(&listener, &ccfg, role)?;
         // Free the shard's endpoint before the (possibly retried) upstream
         // submission; nothing else will connect here.
         drop(listener);
@@ -531,7 +512,6 @@ impl Collector {
 /// identity (if any client connected) and the accumulated state.
 fn run_core(
     listener: &Listener,
-    stats_listener: Option<&Listener>,
     cfg: &CollectorConfig,
     role: Role,
 ) -> Result<(Option<JobInfo>, Inner), NetError> {
@@ -553,20 +533,12 @@ fn run_core(
             peak_ctt_bytes: 0,
             done: false,
             fatal: None,
-            clients: BTreeMap::new(),
+            clients: ClientCounts::default(),
         }),
         started: Instant::now(),
+        events_rx: AtomicU64::new(0),
     };
     listener.set_nonblocking(true)?;
-    if let Some(sl) = stats_listener {
-        sl.set_nonblocking(true)?;
-        obs_log!(
-            Level::Info,
-            "net",
-            "collector stats endpoint on {}",
-            sl.local_addr().map(|a| a.to_string()).unwrap_or_default()
-        );
-    }
     let loops: Vec<LoopShared> = (0..nloops)
         .map(|_| {
             Ok(LoopShared {
@@ -594,7 +566,7 @@ fn run_core(
         for i in 1..nloops {
             scope.spawn(move || event_loop(i, sh, None));
         }
-        event_loop(0, sh, Some((listener, stats_listener)));
+        event_loop(0, sh, Some(listener));
     });
     let inner = state.inner.into_inner().unwrap();
     if let Some(f) = inner.fatal {
@@ -603,8 +575,8 @@ fn run_core(
     Ok((state.job.into_inner(), inner))
 }
 
-/// One multiplexing event loop. Loop 0 additionally owns the listeners.
-fn event_loop(idx: usize, sh: Shared<'_>, listeners: Option<(&Listener, Option<&Listener>)>) {
+/// One multiplexing event loop. Loop 0 additionally owns the listener.
+fn event_loop(idx: usize, sh: Shared<'_>, listener: Option<&Listener>) {
     let me = &sh.loops[idx];
     let mut conns: Vec<Conn<'_>> = Vec::new();
     let mut poll = PollSet::new();
@@ -657,18 +629,11 @@ fn event_loop(idx: usize, sh: Shared<'_>, listeners: Option<(&Listener, Option<&
             }
         }
 
-        // Rebuild the poll set: waker, listeners (loop 0), then every
+        // Rebuild the poll set: waker, listener (loop 0), then every
         // connection (write interest only while acks are pending).
         poll.clear();
         poll.push(me.waker.fd(), true, false);
-        let mut job_slot = None;
-        let mut stats_slot = None;
-        if let Some((l, sl)) = listeners {
-            job_slot = Some(poll.push(l.raw_fd(), true, false));
-            if let Some(sl) = sl {
-                stats_slot = Some(poll.push(sl.raw_fd(), true, false));
-            }
-        }
+        let job_slot = listener.map(|l| poll.push(l.raw_fd(), true, false));
         for c in &conns {
             poll.push(c.stream.raw_fd(), true, c.tx_pending());
         }
@@ -686,8 +651,8 @@ fn event_loop(idx: usize, sh: Shared<'_>, listeners: Option<(&Listener, Option<&
         }
         me.waker.drain();
 
-        // Accept everything pending, dealing job sockets round-robin.
-        if let Some((l, sl)) = listeners {
+        // Accept everything pending, dealing sockets round-robin.
+        if let Some(l) = listener {
             if job_slot.is_some_and(|i| poll.readable(i)) {
                 loop {
                     match l.accept() {
@@ -714,20 +679,6 @@ fn event_loop(idx: usize, sh: Shared<'_>, listeners: Option<(&Listener, Option<&
                         Err(e) => {
                             fail_collection(sh, format!("listener failed: {e}"));
                             break;
-                        }
-                    }
-                }
-            }
-            if let Some(sl) = sl {
-                if stats_slot.is_some_and(|i| poll.readable(i)) {
-                    loop {
-                        match sl.accept() {
-                            Ok(s) => conns.push(Conn::new(s, ConnState::AwaitStatsReq)),
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) => {
-                                obs_log!(Level::Warn, "net", "stats listener failed: {e}");
-                                break;
-                            }
                         }
                     }
                 }
@@ -833,12 +784,9 @@ fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
         ) => {
             count += events.len() as u64;
             hists().batch_events.record(events.len() as u64);
-            {
-                let mut g = sh.state.inner.lock().unwrap();
-                let rank = c.rank.expect("streaming conn has a rank");
-                let e = g.clients.entry(rank).or_insert((ClientState::Streaming, 0));
-                e.1 += events.len() as u64;
-            }
+            sh.state
+                .events_rx
+                .fetch_add(events.len() as u64, Ordering::Relaxed);
             session.push_batch(&events);
             c.state = ConnState::Streaming { session, count };
         }
@@ -860,6 +808,7 @@ fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
             }
             let (ctt, stats) = session.finish(app_time);
             let ranks_done = merge_in(sh, ctt, Some(stats), sh.cfg.keep_rank_ctts);
+            c.rank = None;
             c.queue(&Frame::FinAck { ranks_done });
             c.closing = true;
         }
@@ -915,20 +864,19 @@ fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
             c.queue(&Frame::FinAck { ranks_done });
             c.closing = true;
         }
-        (ConnState::AwaitStatsReq, Frame::StatsRequest) => {
-            let stats = build_stats(sh.state);
-            c.queue(&Frame::Stats { stats });
+        (ConnState::AwaitHello, Frame::StatsRequest) => {
+            c.queue(&Frame::Stats {
+                report: stats_report(sh.state),
+            });
             c.closing = true;
         }
-        (ConnState::AwaitStatsReq, f) => c.fail(
-            sh,
-            codes::PROTOCOL,
-            format!("stats endpoint expects StatsRequest, got {}", f.name()),
-        ),
         (ConnState::AwaitHello, f) => c.fail(
             sh,
             codes::PROTOCOL,
-            format!("first frame must be Hello, got {}", f.name()),
+            format!(
+                "first frame must be Hello or StatsRequest, got {}",
+                f.name()
+            ),
         ),
         (st, f) => {
             c.state = st;
@@ -1036,13 +984,16 @@ fn on_hello<'a>(
         if g.merger.is_none() {
             g.merger = Some(BinomialMerger::new(job.nprocs));
         }
+        // A relay's Hello rank only identifies the shard; duplicate blocks
+        // are per-frame no-ops, so there is no whole-session short-circuit.
+        let done =
+            mode != SubmitMode::Blocks && g.merger.as_ref().expect("just set").has_rank(rank);
         match mode {
-            // A relay's Hello rank only identifies the shard; duplicate
-            // blocks are per-frame no-ops, so there is no whole-session
-            // short-circuit.
-            SubmitMode::Blocks => false,
-            _ => g.merger.as_ref().expect("just set").has_rank(rank),
+            SubmitMode::Blocks => {}
+            _ if done => g.clients.duplicate += 1,
+            _ => g.clients.streaming += 1,
         }
+        done
     };
     c.queue(&Frame::HelloAck {
         version: PROTO_VERSION,
@@ -1052,14 +1003,15 @@ fn on_hello<'a>(
         c.closing = true;
         return;
     }
-    c.rank = Some(rank);
+    if mode != SubmitMode::Blocks {
+        c.rank = Some(rank);
+    }
     cypress_obs::trace_instant("net", "client_accepted", rank as u64);
     match mode {
         SubmitMode::Stream => {
             if cypress_obs::enabled() {
                 obs().sessions_started.inc();
             }
-            sh.state.mark_client(rank, ClientState::Streaming);
             c.state = ConnState::Streaming {
                 session: Box::new(CompressSession::new(
                     &job.cst,
@@ -1071,10 +1023,7 @@ fn on_hello<'a>(
                 count: 0,
             };
         }
-        SubmitMode::Ctt => {
-            sh.state.mark_client(rank, ClientState::Streaming);
-            c.state = ConnState::AwaitCtt;
-        }
+        SubmitMode::Ctt => c.state = ConnState::AwaitCtt,
         SubmitMode::Blocks => c.state = ConnState::Blocks { nblocks: 0 },
     }
 }
@@ -1098,6 +1047,7 @@ fn on_ctt_bytes(sh: Shared<'_>, c: &mut Conn<'_>, bytes: Vec<u8>) {
         return;
     }
     let ranks_done = merge_in(sh, ctt, None, sh.cfg.keep_rank_ctts);
+    c.rank = None;
     c.queue(&Frame::FinAck { ranks_done });
     c.state = ConnState::Done;
     c.closing = true;
@@ -1169,16 +1119,7 @@ fn on_merged_block(
                 let received = g.merger.as_ref().expect("still set").received();
                 g.total_events += events;
                 g.raw_mpi_bytes += raw_mpi_bytes;
-                for r in first_rank..first_rank + nranks {
-                    let e = g.clients.entry(r).or_insert((ClientState::Merged, 0));
-                    e.0 = ClientState::Merged;
-                }
-                if events > 0 {
-                    g.clients
-                        .entry(first_rank)
-                        .or_insert((ClientState::Merged, 0))
-                        .1 += events;
-                }
+                sh.state.events_rx.fetch_add(events, Ordering::Relaxed);
                 if cypress_obs::enabled() {
                     obs().ranks_merged.set_max(received as i64);
                 }
@@ -1207,7 +1148,8 @@ fn on_merged_block(
 }
 
 /// Fold one finished rank CTT into the incremental binomial merge.
-/// First-completion-wins: duplicates are acknowledged but discarded.
+/// First-completion-wins: duplicates are acknowledged but discarded. The
+/// caller's in-flight submission ends here, merged or duplicate.
 fn merge_in(
     sh: Shared<'_>,
     ctt: Ctt,
@@ -1222,27 +1164,23 @@ fn merge_in(
         hists().merge_step_ns.record(t0.elapsed().as_nanos() as u64);
         (newly, m.received())
     };
+    g.clients.streaming -= 1;
     if newly_merged {
-        let entry = g
-            .clients
-            .entry(ctt.rank)
-            .or_insert((ClientState::Merged, 0));
-        entry.0 = ClientState::Merged;
-        if entry.1 == 0 {
-            // Ctt-mode ranks stream no Events frames; credit the record
-            // count so per-client telemetry is nonzero either way.
-            entry.1 = match &stats {
-                Some(st) => st.mpi_events,
-                None => ctt.op_count(),
-            };
-        }
+        g.clients.merged += 1;
         match stats {
             Some(st) => {
                 g.total_events += st.mpi_events;
                 g.raw_mpi_bytes += st.raw_mpi_bytes;
                 g.peak_ctt_bytes = g.peak_ctt_bytes.max(st.peak_ctt_bytes);
             }
-            None => g.total_events += ctt.op_count(),
+            None => {
+                // Ctt-mode ranks stream no Events frames; count their
+                // records as they merge.
+                g.total_events += ctt.op_count();
+                sh.state
+                    .events_rx
+                    .fetch_add(ctt.op_count(), Ordering::Relaxed);
+            }
         }
         if keep {
             g.rank_ctts.push(ctt);
@@ -1251,6 +1189,8 @@ fn merge_in(
             obs().sessions_completed.inc();
             obs().ranks_merged.set_max(received as i64);
         }
+    } else {
+        g.clients.duplicate += 1;
     }
     let job_nprocs = sh.state.job.get().expect("job fixed").nprocs;
     if received == sh.role.expected(job_nprocs) {
@@ -1261,59 +1201,33 @@ fn merge_in(
     received
 }
 
-/// Snapshot the running collection into a wire-ready [`Stats`].
-fn build_stats(state: &State) -> Stats {
+/// Snapshot the running collection as a stats [`Report`] (scope
+/// `collector`).
+fn stats_report(state: &State) -> Report {
     let g = state.inner.lock().unwrap();
-    let uptime_ns = state.started.elapsed().as_nanos() as u64;
     let (ranks_done, merge_depth, resident_blocks) = match &g.merger {
         Some(m) => (m.received(), m.max_depth(), m.pending_blocks() as u32),
         None => (0, 0, 0),
     };
-    let events_total = g.total_events.max(
-        // Mid-stream events are not yet in total_events; count them so the
-        // rate reflects live receive progress, not just merged ranks.
-        g.clients.values().map(|&(_, ev)| ev).sum(),
-    );
-    let events_per_sec_x1000 = if uptime_ns == 0 {
-        0
-    } else {
-        ((events_total as u128 * 1_000_000_000_000u128) / uptime_ns as u128) as u64
-    };
-    let clients = g
-        .clients
-        .iter()
-        .map(|(&rank, &(st, events))| ClientStat {
-            rank,
-            state: st,
-            events,
-        })
-        .collect();
+    let nprocs = state.job.get().map_or(0, |j| j.nprocs);
+    let gauge = |name, v: u64| MetricSnapshot::gauge("collector", name, v as i64);
+    let counter = |name, v: u64| MetricSnapshot::counter("collector", name, v);
     let h = hists();
-    let quantiles = [
-        ("batch_events", &h.batch_events),
-        ("merge_step_ns", &h.merge_step_ns),
-    ]
-    .into_iter()
-    .filter(|(_, h)| h.count() > 0)
-    .map(|(name, h)| QuantileStat {
-        name: name.to_string(),
-        count: h.count(),
-        p50: h.quantile(0.50),
-        p90: h.quantile(0.90),
-        p99: h.quantile(0.99),
-    })
-    .collect();
-    Stats {
-        version: STATS_VERSION,
-        uptime_ns,
-        nprocs: state.job.get().map(|j| j.nprocs).unwrap_or(0),
-        ranks_done,
-        events_total,
-        events_per_sec_x1000,
-        merge_depth,
-        resident_blocks,
-        clients,
-        quantiles,
+    Report {
+        metrics: vec![
+            gauge("nprocs", nprocs.into()),
+            gauge("ranks_done", ranks_done.into()),
+            counter("events_total", state.events_rx.load(Ordering::Relaxed)),
+            gauge("merge_depth", merge_depth.into()),
+            gauge("resident_blocks", resident_blocks.into()),
+            gauge("uptime_ns", state.started.elapsed().as_nanos() as u64),
+            gauge("clients_streaming", g.clients.streaming),
+            counter("clients_merged", g.clients.merged),
+            counter("clients_aborted", g.clients.aborted),
+            counter("clients_duplicate", g.clients.duplicate),
+            h.batch_events.snapshot("collector", "batch_events"),
+            h.merge_step_ns.snapshot("collector", "merge_step_ns"),
+        ],
     }
 }
 
@@ -1326,7 +1240,6 @@ mod tests {
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};
-    use cypress_trace::codec::Codec;
     use cypress_trace::RawTrace;
 
     const SRC: &str = r#"fn main() {
@@ -1583,72 +1496,125 @@ mod tests {
         let nprocs = 4u32;
         let (info, traces) = traces(nprocs);
         let cst_text = info.cst.to_text();
-
-        let mut collector = Collector::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
-        let addr = collector.local_addr().unwrap();
-        let stats_addr = collector
-            .bind_stats(&Addr::parse("127.0.0.1:0").unwrap())
-            .unwrap();
-        let cfg = CollectorConfig {
+        let (addr, server) = serve_in_background(CollectorConfig {
             workers: 2,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
+        });
+        let poll = || crate::fetch_stats(&addr, Duration::from_secs(5));
+        let value = |r: &Report, name: &str| {
+            r.value("collector", name)
+                .unwrap_or_else(|| panic!("missing row collector/{name}"))
         };
-        let server = std::thread::spawn(move || collector.run(&cfg));
 
         // Before any client: an empty but well-formed snapshot.
-        let s0 = crate::stats::fetch_stats(&stats_addr, Duration::from_secs(5)).unwrap();
-        assert_eq!(s0.version, STATS_VERSION);
-        assert_eq!(s0.nprocs, 0);
-        assert_eq!(s0.ranks_done, 0);
-        assert!(s0.clients.is_empty());
+        let s0 = poll().unwrap();
+        assert_eq!(value(&s0, "nprocs"), 0);
+        assert_eq!(value(&s0, "ranks_done"), 0);
+        assert_eq!(value(&s0, "clients_merged"), 0);
 
         let ccfg = ClientConfig::default();
-        let submit = |t: &cypress_trace::RawTrace| {
+        let submit = |t: &RawTrace| {
             submit_stream(&addr, &ccfg, t.rank, t.nprocs, &cst_text, |sink| {
                 for ev in &t.events {
                     sink.event(ev.clone());
                 }
                 Ok(t.app_time)
             })
-            .unwrap();
+            .unwrap()
         };
         // Submit ranks 0..2 in order; FinAck means each is merged, so the
-        // next snapshot is deterministic.
+        // next snapshot is deterministic. A retry of rank 0 is a duplicate.
         for t in traces.iter().take(nprocs as usize - 1) {
             submit(t);
         }
-        let s1 = crate::stats::fetch_stats(&stats_addr, Duration::from_secs(5)).unwrap();
-        assert_eq!(s1.nprocs, nprocs);
-        assert_eq!(s1.ranks_done, nprocs - 1);
-        assert_eq!(s1.clients.len(), nprocs as usize - 1);
-        for (c, t) in s1.clients.iter().zip(&traces) {
-            assert_eq!(c.rank, t.rank);
-            assert_eq!(c.state, ClientState::Merged);
-            assert_eq!(c.events, t.events.len() as u64, "rank {}", c.rank);
-        }
-        assert!(s1.events_total > 0);
-        assert!(s1.uptime_ns > 0);
+        assert!(submit(&traces[0]).already_done);
+        let s1 = poll().unwrap();
+        assert_eq!(value(&s1, "nprocs"), nprocs as i64);
+        assert_eq!(value(&s1, "ranks_done"), nprocs as i64 - 1);
+        assert_eq!(value(&s1, "clients_merged"), nprocs as i64 - 1);
+        assert_eq!(value(&s1, "clients_streaming"), 0);
+        assert_eq!(value(&s1, "clients_aborted"), 0);
+        assert_eq!(value(&s1, "clients_duplicate"), 1);
+        let streamed: usize = traces.iter().take(3).map(|t| t.events.len()).sum();
+        assert_eq!(value(&s1, "events_total"), streamed as i64);
+        assert!(value(&s1, "uptime_ns") > 0);
         // Ranks {0,1,2} of 4: buddy block [0,1] plus singleton [2].
-        assert_eq!(s1.merge_depth, 1);
-        assert_eq!(s1.resident_blocks, 2);
+        assert_eq!(value(&s1, "merge_depth"), 1);
+        assert_eq!(value(&s1, "resident_blocks"), 2);
         for name in ["batch_events", "merge_step_ns"] {
-            let q = s1
-                .quantiles
-                .iter()
-                .find(|q| q.name == name)
-                .unwrap_or_else(|| panic!("missing quantile row {name}"));
-            assert!(q.count > 0);
+            let h = s1
+                .get("collector", name)
+                .unwrap_or_else(|| panic!("missing histogram {name}"));
+            assert_eq!(h.kind, cypress_obs::MetricKind::Histogram);
+            assert!(h.count > 0);
         }
 
-        // Completing the job shuts the stats loop down with the collector.
+        // Completing the job shuts the listener, stats included.
         submit(&traces[nprocs as usize - 1]);
         let job = server.join().unwrap().unwrap();
         assert_eq!(job.nprocs, nprocs);
         assert!(
-            crate::stats::fetch_stats(&stats_addr, Duration::from_millis(500)).is_err(),
-            "stats endpoint must die with the collection"
+            crate::fetch_stats(&addr, Duration::from_millis(500)).is_err(),
+            "stats must die with the collection"
         );
+    }
+
+    #[test]
+    fn stats_counts_a_client_dropped_mid_stream() {
+        let (info, traces) = traces(2);
+        let cst_text = info.cst.to_text();
+        let (addr, server) = serve_in_background(CollectorConfig {
+            workers: 1,
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+        let hello = |rank| Frame::Hello {
+            version: PROTO_VERSION,
+            rank,
+            nprocs: 2,
+            mode: SubmitMode::Stream,
+            cst_text: cst_text.clone(),
+        };
+        let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
+        write_frame(&mut stream, &hello(1)).unwrap();
+        let _ack = read_frame(&mut stream).unwrap();
+        write_frame(
+            &mut stream,
+            &Frame::Events {
+                events: traces[1].events[..2].to_vec(),
+            },
+        )
+        .unwrap();
+        let wait_for = |name: &str, want: i64| {
+            let t0 = Instant::now();
+            loop {
+                let r = crate::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
+                if r.value("collector", name) == Some(want) {
+                    return r;
+                }
+                assert!(
+                    t0.elapsed() < Duration::from_secs(30),
+                    "{name} never hit {want}"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let mid = wait_for("events_total", 2);
+        assert_eq!(mid.value("collector", "clients_streaming"), Some(1));
+        drop(stream);
+        let after = wait_for("clients_aborted", 1);
+        assert_eq!(after.value("collector", "clients_streaming"), Some(0));
+        for t in &traces {
+            submit_ctt(
+                &addr,
+                &ClientConfig::default(),
+                &compress_trace(&info.cst, t, &CompressConfig::default()),
+                &cst_text,
+            )
+            .unwrap();
+        }
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //!   per-request timeouts, drain-on-finish) and the daemon side (a small
 //!   pool of event loops multiplexing thousands of nonblocking
 //!   connections, incremental binomial merge, duplicate-rank tolerance).
+//!   [`fetch_stats`] polls any daemon (collector, relay, queryd) for its
+//!   live telemetry `Report`.
 //! - [`tree`] — sharded collection: mid-tier **relay** collectors each own
 //!   a contiguous rank shard and forward merged buddy blocks upstream, so
 //!   the root handles `FANOUT` relay connections instead of `P` clients.
@@ -42,16 +44,15 @@ pub mod client;
 pub mod collector;
 pub mod poll;
 pub mod proto;
-pub mod stats;
 pub mod transport;
 pub mod tree;
 
 pub use client::{
-    submit_ctt, submit_merged_blocks, submit_stream, BlockUpload, ClientConfig, SubmitOutcome,
+    fetch_stats, submit_ctt, submit_merged_blocks, submit_stream, BlockUpload, ClientConfig,
+    SubmitOutcome,
 };
 pub use collector::{CollectedJob, Collector, CollectorConfig, RelayConfig, RelaySummary};
 pub use proto::{Frame, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION};
-pub use stats::{fetch_stats, ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 pub use transport::{Addr, Listener, Stream};
 pub use tree::{spawn_tree, Tree, TreeConfig};
 

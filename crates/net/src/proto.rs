@@ -182,20 +182,20 @@ pub enum Frame {
     /// `raw_len` is the decompressed size, checked by the collector before
     /// and after inflation.
     RankCttZ { raw_len: u64, bytes: Vec<u8> },
-    /// Ask a collector's stats endpoint for a live snapshot.
+    /// Ask a running daemon (collector, relay or queryd) for a live
+    /// telemetry snapshot. A collector accepts it only as the first frame
+    /// of a connection.
     StatsRequest,
-    /// The snapshot. The payload is a self-versioned blob (see
-    /// [`crate::stats::STATS_VERSION`]) nested as length-prefixed bytes, so
-    /// fields appended by newer collectors never trip the frame-level
-    /// trailing-bytes check.
-    Stats { stats: crate::stats::Stats },
+    /// The snapshot: an observability [`Report`](cypress_obs::Report) in
+    /// its one codec.
+    Stats { report: cypress_obs::Report },
     /// Ask a resident query daemon to evaluate a query against one job in
     /// its store. `options` is an opaque, self-versioned blob (the query
     /// crate's canonical `QueryOptions` encoding) so the frame layer stays
     /// independent of the query engine.
     QueryRequest { job: String, options: Vec<u8> },
     /// The answer: an opaque, self-versioned `QueryResult` blob, nested as
-    /// length-prefixed bytes like [`Frame::Stats`].
+    /// length-prefixed bytes.
     QueryResponse { result: Vec<u8> },
     /// Ask a resident query daemon to run the compressed-domain analysis
     /// suite (replay prediction + wait-state detection) against one job.
@@ -317,7 +317,7 @@ impl Frame {
                 enc.put_bytes(bytes);
             }
             Frame::StatsRequest => {}
-            Frame::Stats { stats } => enc.put_bytes(&stats.encode()),
+            Frame::Stats { report } => report.encode(&mut enc),
             Frame::QueryRequest { job, options } => {
                 enc.put_str(job);
                 enc.put_bytes(options);
@@ -409,12 +409,9 @@ impl Frame {
                 }
             }
             FR_STATS_REQ => Frame::StatsRequest,
-            FR_STATS => {
-                let blob = dec.get_bytes().map_err(|e| bad(e.to_string()))?;
-                let stats = crate::stats::Stats::decode(&mut Decoder::new(&blob))
-                    .map_err(|e| bad(e.to_string()))?;
-                Frame::Stats { stats }
-            }
+            FR_STATS => Frame::Stats {
+                report: cypress_obs::Report::decode(&mut dec).map_err(|e| bad(e.to_string()))?,
+            },
             FR_QUERY_REQ => Frame::QueryRequest {
                 job: dec.get_str().map_err(|e| bad(e.to_string()))?,
                 options: dec.get_bytes().map_err(|e| bad(e.to_string()))?,
@@ -712,21 +709,11 @@ mod tests {
             },
             Frame::StatsRequest,
             Frame::Stats {
-                stats: crate::stats::Stats {
-                    version: crate::stats::STATS_VERSION,
-                    uptime_ns: 5_000_000,
-                    nprocs: 4,
-                    ranks_done: 2,
-                    events_total: 1000,
-                    events_per_sec_x1000: 200_000,
-                    merge_depth: 1,
-                    resident_blocks: 1,
-                    clients: vec![crate::stats::ClientStat {
-                        rank: 0,
-                        state: crate::stats::ClientState::Merged,
-                        events: 500,
-                    }],
-                    quantiles: vec![],
+                report: cypress_obs::Report {
+                    metrics: vec![
+                        cypress_obs::MetricSnapshot::gauge("collector", "nprocs", 4),
+                        cypress_obs::MetricSnapshot::counter("collector", "events_total", 1000),
+                    ],
                 },
             },
             Frame::QueryRequest {

@@ -30,8 +30,8 @@ pub struct TreeConfig {
     /// Global job size; fixed up front so relays can size their mergers
     /// and validate shard membership before the first client connects.
     pub nprocs: u32,
-    /// Applied to the root; relays inherit it minus root-only concerns
-    /// (per-rank CTT retention, the stats endpoint).
+    /// Applied to the root; relays inherit it minus per-rank CTT
+    /// retention, a root-only concern.
     pub collector: CollectorConfig,
     /// Retry policy for relay → root submissions.
     pub client: ClientConfig,
@@ -42,7 +42,7 @@ pub struct TreeConfig {
 pub struct Tree {
     leaves: Vec<Addr>,
     ranges: Vec<(u32, u32)>,
-    stats_addr: Option<Addr>,
+    root_addr: Addr,
     root: JoinHandle<Result<CollectedJob, NetError>>,
     relays: Vec<JoinHandle<Result<RelaySummary, NetError>>>,
 }
@@ -58,9 +58,10 @@ impl Tree {
         &self.ranges
     }
 
-    /// The root's resolved stats endpoint, when one was configured.
-    pub fn stats_addr(&self) -> Option<&Addr> {
-        self.stats_addr.as_ref()
+    /// The root's resolved listen address (relays forward here, and
+    /// `cypress stats --connect` polls it).
+    pub fn root_addr(&self) -> &Addr {
+        &self.root_addr
     }
 
     /// The leaf endpoint rank `rank` must submit to.
@@ -141,12 +142,8 @@ pub fn spawn_tree(root_listen: &Addr, cfg: &TreeConfig) -> Result<Tree, NetError
     if cfg.nprocs == 0 {
         return Err(NetError::Collect("tree needs nprocs > 0".into()));
     }
-    let mut root = Collector::bind(root_listen)?;
+    let root = Collector::bind(root_listen)?;
     let root_addr = root.local_addr()?;
-    let stats_addr = match &cfg.collector.stats_addr {
-        Some(a) => Some(root.bind_stats(a)?),
-        None => None,
-    };
     let ranges = shard_ranges(cfg.nprocs, cfg.relays);
     let mut leaves = Vec::with_capacity(ranges.len());
     let mut bound = Vec::with_capacity(ranges.len());
@@ -172,7 +169,7 @@ pub fn spawn_tree(root_listen: &Addr, cfg: &TreeConfig) -> Result<Tree, NetError
     Ok(Tree {
         leaves,
         ranges,
-        stats_addr,
+        root_addr,
         root: root_handle,
         relays,
     })

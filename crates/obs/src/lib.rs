@@ -28,7 +28,7 @@
 //! let hits = m.counter("leaf_fold_hits");
 //! cypress_obs::set_enabled(true);
 //! hits.add(3);
-//! let span = m.span("compress");
+//! let span = m.histogram("compress_ns", &cypress_obs::TIME_BOUNDS_NS).start_span();
 //! drop(span); // records elapsed ns into the `compress_ns` histogram
 //! let report = cypress_obs::report();
 //! assert!(report.to_text().contains("leaf_fold_hits"));
@@ -50,10 +50,9 @@ pub use metrics::{scope, Counter, Gauge, Histogram, Scope, TIME_BOUNDS_NS};
 pub use report::{report, MetricKind, MetricSnapshot, Report};
 pub use span::{Span, Stopwatch};
 pub use tracing::{
-    clear_thread_rank, set_thread_rank, set_trace_enabled, trace_begin, trace_complete,
-    trace_drain, trace_enabled, trace_end, trace_instant, trace_now_ns, trace_reset,
-    trace_snapshot, trace_span, RankRow, StageProfile, StageRow, TraceDump, TraceEvent, TracePhase,
-    TraceSpan, NO_RANK,
+    clear_thread_rank, set_thread_rank, set_trace_enabled, trace_complete, trace_drain,
+    trace_enabled, trace_instant, trace_now_ns, trace_reset, trace_snapshot, trace_span, RankRow,
+    StageProfile, StageRow, TraceDump, TraceEvent, TracePhase, TraceSpan, NO_RANK,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -5,6 +5,7 @@
 //! record paths check [`crate::enabled`] first so disabled instrumentation
 //! costs one relaxed load.
 
+use crate::report::{MetricKind, MetricSnapshot};
 use crate::span::{Span, Stopwatch};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -200,9 +201,27 @@ impl Histogram {
         &self.0.bounds
     }
 
-    /// Start a gated RAII span recording into this histogram. Unlike
-    /// [`Scope::span`] this takes no registry lock, so it is safe on hot
-    /// paths when the handle is pre-registered.
+    /// Point-in-time copy of this histogram as the report row
+    /// `subsystem/name`.
+    pub fn snapshot(&self, subsystem: &str, name: &str) -> MetricSnapshot {
+        let min = self.0.min.load(Ordering::Relaxed);
+        MetricSnapshot {
+            count: self.count(),
+            sum: self.sum(),
+            min: if min == u64::MAX { 0 } else { min },
+            max: self.0.max.load(Ordering::Relaxed),
+            p50: self.quantile(0.50),
+            p90: self.quantile(0.90),
+            p99: self.quantile(0.99),
+            bounds: self.bounds().to_vec(),
+            buckets: self.bucket_counts(),
+            ..MetricSnapshot::scalar(subsystem, name, MetricKind::Histogram, 0)
+        }
+    }
+
+    /// Start a gated RAII span recording into this histogram: free when
+    /// metrics are disabled (no clock read), and no registry lock, so it
+    /// is safe on hot paths once the handle is registered.
     #[inline]
     pub fn start_span(&self) -> Span {
         Span::start(self.clone())
@@ -305,12 +324,6 @@ impl Scope {
                 self.subsystem
             ),
         }
-    }
-
-    /// RAII span timer recording into the `<name>_ns` histogram when
-    /// metrics are enabled; free when disabled (no clock read).
-    pub fn span(&self, name: &str) -> Span {
-        Span::start(self.histogram(&format!("{name}_ns"), &TIME_BOUNDS_NS))
     }
 
     /// Always-on stopwatch over the same `<name>_ns` histogram — the

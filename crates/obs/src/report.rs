@@ -7,7 +7,6 @@
 //! test.
 
 use crate::metrics::{registry, Metric};
-use std::sync::atomic::Ordering;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
@@ -27,7 +26,7 @@ impl MetricKind {
 }
 
 /// Point-in-time copy of one metric's value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricSnapshot {
     pub subsystem: String,
     pub name: String,
@@ -48,6 +47,33 @@ pub struct MetricSnapshot {
 }
 
 impl MetricSnapshot {
+    /// A counter or gauge row holding `value`.
+    pub fn scalar(subsystem: &str, name: &str, kind: MetricKind, value: i64) -> MetricSnapshot {
+        MetricSnapshot {
+            subsystem: subsystem.to_owned(),
+            name: name.to_owned(),
+            kind,
+            value,
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            p50: 0,
+            p90: 0,
+            p99: 0,
+            bounds: Vec::new(),
+            buckets: Vec::new(),
+        }
+    }
+
+    pub fn counter(subsystem: &str, name: &str, value: u64) -> MetricSnapshot {
+        MetricSnapshot::scalar(subsystem, name, MetricKind::Counter, value as i64)
+    }
+
+    pub fn gauge(subsystem: &str, name: &str, value: i64) -> MetricSnapshot {
+        MetricSnapshot::scalar(subsystem, name, MetricKind::Gauge, value)
+    }
+
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -57,10 +83,26 @@ impl MetricSnapshot {
     }
 }
 
-/// All metrics at one instant, sorted by (subsystem, name).
-#[derive(Clone, Debug, Default)]
+/// All metrics at one instant. Registry snapshots are sorted by
+/// (subsystem, name); reports built by hand (a daemon's stats reply, a
+/// container's telemetry section) keep the order they were built in.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Report {
     pub metrics: Vec<MetricSnapshot>,
+}
+
+impl Report {
+    /// The value of the counter or gauge `subsystem/name`, if present.
+    pub fn value(&self, subsystem: &str, name: &str) -> Option<i64> {
+        self.get(subsystem, name).map(|m| m.value)
+    }
+
+    /// The row `subsystem/name`, if present.
+    pub fn get(&self, subsystem: &str, name: &str) -> Option<&MetricSnapshot> {
+        self.metrics
+            .iter()
+            .find(|m| m.subsystem == subsystem && m.name == name)
+    }
 }
 
 /// Snapshot the global registry.
@@ -68,46 +110,10 @@ pub fn report() -> Report {
     let reg = registry().lock().expect("obs registry poisoned");
     let metrics = reg
         .iter()
-        .map(|((subsystem, name), metric)| {
-            let mut snap = MetricSnapshot {
-                subsystem: subsystem.clone(),
-                name: name.clone(),
-                kind: MetricKind::Counter,
-                value: 0,
-                count: 0,
-                sum: 0,
-                min: 0,
-                max: 0,
-                p50: 0,
-                p90: 0,
-                p99: 0,
-                bounds: Vec::new(),
-                buckets: Vec::new(),
-            };
-            match metric {
-                Metric::Counter(c) => {
-                    snap.kind = MetricKind::Counter;
-                    snap.value = c.get() as i64;
-                }
-                Metric::Gauge(g) => {
-                    snap.kind = MetricKind::Gauge;
-                    snap.value = g.get();
-                }
-                Metric::Histogram(h) => {
-                    snap.kind = MetricKind::Histogram;
-                    snap.count = h.count();
-                    snap.sum = h.sum();
-                    let min = h.0.min.load(Ordering::Relaxed);
-                    snap.min = if min == u64::MAX { 0 } else { min };
-                    snap.max = h.0.max.load(Ordering::Relaxed);
-                    snap.p50 = h.quantile(0.50);
-                    snap.p90 = h.quantile(0.90);
-                    snap.p99 = h.quantile(0.99);
-                    snap.bounds = h.bounds().to_vec();
-                    snap.buckets = h.bucket_counts();
-                }
-            }
-            snap
+        .map(|((subsystem, name), metric)| match metric {
+            Metric::Counter(c) => MetricSnapshot::counter(subsystem, name, c.get()),
+            Metric::Gauge(g) => MetricSnapshot::gauge(subsystem, name, g.get()),
+            Metric::Histogram(h) => h.snapshot(subsystem, name),
         })
         .collect();
     Report { metrics }

@@ -9,7 +9,7 @@
 use crate::metrics::Histogram;
 use std::time::Instant;
 
-/// Gated RAII timer. Started via [`crate::Scope::span`]; records elapsed
+/// Gated RAII timer. Started via [`Histogram::start_span`]; records elapsed
 /// nanoseconds into its histogram on drop, but only if metrics were enabled
 /// when the span started.
 #[derive(Debug)]
@@ -97,7 +97,7 @@ mod tests {
         crate::set_enabled(false);
         let h = scope("t-span").histogram("noop_ns", &TIME_BOUNDS_NS);
         let before = h.count();
-        drop(scope("t-span").span("noop"));
+        drop(h.start_span());
         assert_eq!(h.count(), before);
     }
 
@@ -107,7 +107,7 @@ mod tests {
         crate::set_enabled(true);
         let h = scope("t-span").histogram("timed_ns", &TIME_BOUNDS_NS);
         let before = h.count();
-        drop(scope("t-span").span("timed"));
+        drop(h.start_span());
         assert_eq!(h.count(), before + 1);
         crate::set_enabled(false);
     }
@@ -121,8 +121,8 @@ mod tests {
         let inner_h = m.histogram("inner_ns", &TIME_BOUNDS_NS);
         let (o0, i0) = (outer_h.count(), inner_h.count());
         {
-            let _outer = m.span("outer");
-            let _inner = m.span("inner");
+            let _outer = outer_h.start_span();
+            let _inner = inner_h.start_span();
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(outer_h.count(), o0 + 1);

@@ -5,7 +5,7 @@
 //! per stage, over time*, which is exactly what the interpreter→session
 //! bottleneck hunt needs. This module records discrete timeline events:
 //!
-//! * **begin/end/instant/complete events** with nanosecond timestamps
+//! * **instant and complete events** with nanosecond timestamps
 //!   relative to one process-wide epoch, a `&'static str` name, a
 //!   `&'static str` stage label (the Chrome "category"), the recording
 //!   thread, and an optional rank label;
@@ -18,7 +18,7 @@
 //!
 //! A finished run is [`trace_drain`]ed into a [`TraceDump`], which exports
 //! as Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`)
-//! or JSONL, and rolls up into a [`StageProfile`]: a per-stage / per-rank
+//! and rolls up into a [`StageProfile`]: a per-stage / per-rank
 //! wall-time attribution table with exclusive (self-time) accounting, so
 //! nested spans never double count.
 
@@ -66,21 +66,15 @@ pub fn trace_now_ns() -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TracePhase {
-    /// `ph:"B"` — duration begin.
-    Begin = 0,
-    /// `ph:"E"` — duration end.
-    End = 1,
     /// `ph:"i"` — instant.
-    Instant = 2,
+    Instant = 0,
     /// `ph:"X"` — complete (begin timestamp + duration in one record).
-    Complete = 3,
+    Complete = 1,
 }
 
 impl TracePhase {
     pub fn chrome(self) -> &'static str {
         match self {
-            TracePhase::Begin => "B",
-            TracePhase::End => "E",
             TracePhase::Instant => "i",
             TracePhase::Complete => "X",
         }
@@ -213,23 +207,6 @@ fn record(
 pub fn trace_instant(stage: &'static str, name: &'static str, arg: u64) {
     if trace_enabled() {
         record(TracePhase::Instant, stage, name, trace_now_ns(), 0, arg);
-    }
-}
-
-/// Record an explicit duration-begin event (prefer [`trace_span`], which
-/// emits one `Complete` record instead of two).
-#[inline]
-pub fn trace_begin(stage: &'static str, name: &'static str) {
-    if trace_enabled() {
-        record(TracePhase::Begin, stage, name, trace_now_ns(), 0, 0);
-    }
-}
-
-/// Record the matching duration-end event for [`trace_begin`].
-#[inline]
-pub fn trace_end(stage: &'static str, name: &'static str) {
-    if trace_enabled() {
-        record(TracePhase::End, stage, name, trace_now_ns(), 0, 0);
     }
 }
 
@@ -394,31 +371,6 @@ impl TraceDump {
         );
         out.push_str(&self.dropped.to_string());
         out.push_str("}}");
-        out
-    }
-
-    /// One JSON object per event (raw analysis-friendly form).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
-        for e in &self.events {
-            out.push_str("{\"ts_ns\":");
-            out.push_str(&e.ts_ns.to_string());
-            out.push_str(",\"dur_ns\":");
-            out.push_str(&e.dur_ns.to_string());
-            out.push_str(",\"ph\":\"");
-            out.push_str(e.phase.chrome());
-            out.push_str("\",\"stage\":\"");
-            json_escape(e.stage, &mut out);
-            out.push_str("\",\"name\":\"");
-            json_escape(e.name, &mut out);
-            out.push_str("\",\"tid\":");
-            out.push_str(&e.tid.to_string());
-            out.push_str(",\"rank\":");
-            out.push_str(&e.rank.to_string());
-            out.push_str(",\"arg\":");
-            out.push_str(&e.arg.to_string());
-            out.push_str("}\n");
-        }
         out
     }
 
@@ -753,8 +705,6 @@ mod tests {
         trace_reset();
         trace_instant("t", "noop", 1);
         drop(trace_span("t", "noop"));
-        trace_begin("t", "noop");
-        trace_end("t", "noop");
         assert!(trace_drain().events.is_empty());
     }
 
@@ -814,10 +764,5 @@ mod tests {
         assert!(json.contains("\"droppedEvents\":0"));
         // 1000 ns root span = 1.000 us.
         assert!(json.contains("\"dur\":1.000"));
-        let jsonl = dump.to_jsonl();
-        assert_eq!(jsonl.lines().count(), dump.events.len());
-        assert!(jsonl
-            .lines()
-            .all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 }

@@ -13,12 +13,13 @@
 //!   [`StoreJob::open`] checks every decoded CTT against the CST's shape.
 //! * [`JobStore`] — a directory of jobs behind an LRU of hot handles with
 //!   byte- and entry-count budgets ([`StoreConfig`]), duplicate-open
-//!   coalescing, and hit/miss/eviction metrics ([`StoreStats`], mirrored
-//!   into the `store` observability scope).
+//!   coalescing, and hit/miss/eviction counters ([`StoreStats`], served to
+//!   `cypress stats --connect` as a `store` report).
 //! * [`serve`]/[`spawn`] + [`QueryClient`] — `cypress queryd`: the store
 //!   served over the net transport's versioned frames
 //!   (`QueryRequest`/`QueryResponse` with self-versioned option/result
-//!   blobs), persistent connections, clean protocol errors.
+//!   blobs, and `StatsRequest`), persistent connections, clean protocol
+//!   errors.
 //!
 //! Evicted jobs are only *unpinned*: readers holding an `Arc<StoreJob>`
 //! keep a valid handle; memory is reclaimed when the last clone drops.

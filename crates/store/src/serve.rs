@@ -1,10 +1,12 @@
 //! The resident query daemon: a [`JobStore`] served over the net
 //! transport's framed protocol.
 //!
-//! One connection handles any number of `QueryRequest` and
-//! `AnalyzeRequest` frames until the client disconnects — the handle stays
-//! hot in the store across requests, which is the whole point of a
-//! resident daemon. Failures map onto protocol error frames: unknown job →
+//! One connection handles any number of `QueryRequest`, `AnalyzeRequest`
+//! and `StatsRequest` frames until the client disconnects — the handle
+//! stays hot in the store across requests, which is the whole point of a
+//! resident daemon. A stats poll answers with the store's counters as a
+//! [`cypress_obs::Report`] (scope `store`), the same payload a collector
+//! answers with. Failures map onto protocol error frames: unknown job →
 //! `not-found`, malformed options → `protocol`, anything else →
 //! `internal`; the connection stays open after an error reply, so a
 //! scripted client can probe jobs cheaply. Frame codes from a newer client
@@ -156,6 +158,12 @@ fn handle_conn(mut stream: Stream, store: Arc<JobStore>, stop: Arc<AtomicBool>) 
                         }
                     }
                     Err(e) => reply_store_error(&mut stream, e),
+                }
+            }
+            Frame::StatsRequest => {
+                let report = store.stats().to_report();
+                if write_frame(&mut stream, &Frame::Stats { report }).is_err() {
+                    return;
                 }
             }
             // A frame code from a newer client (e.g. an analysis kind this

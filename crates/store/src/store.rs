@@ -43,6 +43,26 @@ pub struct StoreStats {
     pub resident_bytes: usize,
 }
 
+impl StoreStats {
+    /// The counters as rows of scope `store`: the daemon's answer to a
+    /// stats poll.
+    pub fn to_report(&self) -> cypress_obs::Report {
+        use cypress_obs::MetricSnapshot;
+        let counter = |name, v: u64| MetricSnapshot::counter("store", name, v);
+        let gauge = |name, v: usize| MetricSnapshot::gauge("store", name, v as i64);
+        cypress_obs::Report {
+            metrics: vec![
+                counter("hits", self.hits),
+                counter("misses", self.misses),
+                counter("evictions", self.evictions),
+                counter("loads", self.loads),
+                gauge("resident_jobs", self.resident_jobs),
+                gauge("resident_bytes", self.resident_bytes),
+            ],
+        }
+    }
+}
+
 /// The load slot for one job name. Concurrent opens of the same name share
 /// the cell: exactly one performs the load, the rest block on `get_or_init`
 /// and receive the same `Arc`.
@@ -65,30 +85,6 @@ struct Inner {
     tick: u64,
     resident_jobs: usize,
     resident_bytes: usize,
-}
-
-struct StoreObs {
-    hits: cypress_obs::Counter,
-    misses: cypress_obs::Counter,
-    evictions: cypress_obs::Counter,
-    loads: cypress_obs::Counter,
-    resident_bytes: cypress_obs::Gauge,
-    resident_jobs: cypress_obs::Gauge,
-}
-
-fn obs() -> &'static StoreObs {
-    static OBS: OnceLock<StoreObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let s = cypress_obs::scope("store");
-        StoreObs {
-            hits: s.counter("hits"),
-            misses: s.counter("misses"),
-            evictions: s.counter("evictions"),
-            loads: s.counter("loads"),
-            resident_bytes: s.gauge("resident_bytes"),
-            resident_jobs: s.gauge("resident_jobs"),
-        }
-    })
 }
 
 /// A directory of `.cytc` jobs with bounded-residency caching.
@@ -202,9 +198,6 @@ impl JobStore {
         };
         if was_hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if cypress_obs::enabled() {
-                obs().hits.inc();
-            }
         } else {
             self.note_miss();
         }
@@ -213,9 +206,6 @@ impl JobStore {
         let result = cell.get_or_init(|| {
             loaded_here = true;
             self.loads.fetch_add(1, Ordering::Relaxed);
-            if cypress_obs::enabled() {
-                obs().loads.inc();
-            }
             StoreJob::open(&self.path_of(name), name)
                 .map(Arc::new)
                 .map_err(|e| e.to_string())
@@ -245,9 +235,6 @@ impl JobStore {
 
     fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if cypress_obs::enabled() {
-            obs().misses.inc();
-        }
     }
 
     /// Charge a freshly loaded job against the budgets, then evict LRU
@@ -281,14 +268,6 @@ impl JobStore {
             g.resident_jobs -= 1;
             g.resident_bytes -= e.charged_bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            if cypress_obs::enabled() {
-                obs().evictions.inc();
-            }
-        }
-        if cypress_obs::enabled() {
-            let o = obs();
-            o.resident_jobs.set(g.resident_jobs as i64);
-            o.resident_bytes.set(g.resident_bytes as i64);
         }
     }
 

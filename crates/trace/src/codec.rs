@@ -4,9 +4,10 @@
 //! trace artifacts are serialized with a small hand-rolled codec: LEB128
 //! varints for unsigned integers, zigzag+LEB128 for signed, raw little-endian
 //! bits for `f64`. All trace-size numbers reported by the benchmark harness
-//! are sizes of these encodings. Whole-artifact traffic through
-//! [`Codec::to_bytes`] / [`Codec::from_bytes`] is counted under the
-//! `codec` observability scope.
+//! are sizes of these encodings. The observability
+//! [`Report`](cypress_obs::Report), the one telemetry payload, is encoded
+//! here too. Whole-artifact traffic through [`Codec::to_bytes`] /
+//! [`Codec::from_bytes`] is counted under the `codec` observability scope.
 
 use std::sync::OnceLock;
 
@@ -270,10 +271,198 @@ pub trait Codec: Sized {
     }
 }
 
+/// Version byte of the [`Report`](cypress_obs::Report) encoding — the one
+/// telemetry payload: daemon stats replies and container telemetry
+/// sections alike.
+const REPORT_VERSION: u8 = 1;
+
+/// Upper bound on the row, bound and bucket counts in a decoded report;
+/// rejects absurd length prefixes before anything is allocated.
+const MAX_REPORT_ITEMS: u64 = 1 << 20;
+
+/// Read a collection length, refusing counts beyond [`MAX_REPORT_ITEMS`]
+/// or beyond the bytes left (every item takes at least one byte).
+fn report_len(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<usize> {
+    let n = dec.get_uvar()?;
+    if n > MAX_REPORT_ITEMS || n > dec.remaining() as u64 {
+        return Err(DecodeError(format!("report claims {n} {what}")));
+    }
+    Ok(n as usize)
+}
+
+fn get_u64s(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<Vec<u64>> {
+    let n = report_len(dec, what)?;
+    (0..n).map(|_| dec.get_uvar()).collect()
+}
+
+fn put_u64s(enc: &mut Encoder, xs: &[u64]) {
+    enc.put_uvar(xs.len() as u64);
+    for &x in xs {
+        enc.put_uvar(x);
+    }
+}
+
+impl Codec for cypress_obs::Report {
+    fn encode(&self, enc: &mut Encoder) {
+        use cypress_obs::MetricKind;
+        enc.put_u8(REPORT_VERSION);
+        enc.put_uvar(self.metrics.len() as u64);
+        for m in &self.metrics {
+            enc.put_str(&m.subsystem);
+            enc.put_str(&m.name);
+            match m.kind {
+                MetricKind::Counter => enc.put_u8(0),
+                MetricKind::Gauge => enc.put_u8(1),
+                MetricKind::Histogram => enc.put_u8(2),
+            }
+            if m.kind != MetricKind::Histogram {
+                enc.put_ivar(m.value);
+                continue;
+            }
+            for v in [m.count, m.sum, m.min, m.max, m.p50, m.p90, m.p99] {
+                enc.put_uvar(v);
+            }
+            put_u64s(enc, &m.bounds);
+            put_u64s(enc, &m.buckets);
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        use cypress_obs::{MetricKind, MetricSnapshot};
+        let version = dec.get_u8()?;
+        if version != REPORT_VERSION {
+            return Err(DecodeError(format!(
+                "report version {version} unsupported (only {REPORT_VERSION})"
+            )));
+        }
+        let n = report_len(dec, "rows")?;
+        let metrics = (0..n)
+            .map(|_| {
+                let (subsystem, name) = (dec.get_str()?, dec.get_str()?);
+                let kind = match dec.get_u8()? {
+                    0 => MetricKind::Counter,
+                    1 => MetricKind::Gauge,
+                    2 => MetricKind::Histogram,
+                    k => return Err(DecodeError(format!("bad report metric kind {k}"))),
+                };
+                if kind != MetricKind::Histogram {
+                    return Ok(MetricSnapshot::scalar(
+                        &subsystem,
+                        &name,
+                        kind,
+                        dec.get_ivar()?,
+                    ));
+                }
+                let mut h = MetricSnapshot::scalar(&subsystem, &name, kind, 0);
+                for v in [
+                    &mut h.count,
+                    &mut h.sum,
+                    &mut h.min,
+                    &mut h.max,
+                    &mut h.p50,
+                    &mut h.p90,
+                    &mut h.p99,
+                ] {
+                    *v = dec.get_uvar()?;
+                }
+                h.bounds = get_u64s(dec, "histogram bounds")?;
+                h.buckets = get_u64s(dec, "histogram buckets")?;
+                if h.buckets.len() != h.bounds.len() + 1 {
+                    return Err(DecodeError(format!(
+                        "histogram {subsystem}/{name} has {} buckets for {} bounds",
+                        h.buckets.len(),
+                        h.bounds.len()
+                    )));
+                }
+                Ok(h)
+            })
+            .collect::<DecodeResult<Vec<_>>>()?;
+        Ok(cypress_obs::Report { metrics })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cypress_obs::rng::Rng;
+
+    fn sample_report() -> cypress_obs::Report {
+        use cypress_obs::{MetricKind, MetricSnapshot};
+        let mut hist =
+            MetricSnapshot::scalar("collector", "batch_events", MetricKind::Histogram, 0);
+        hist.count = 3;
+        hist.sum = 5055;
+        hist.min = 5;
+        hist.max = 5000;
+        hist.p50 = 100;
+        hist.p90 = 5000;
+        hist.p99 = 5000;
+        hist.bounds = vec![10, 100];
+        hist.buckets = vec![1, 1, 1];
+        cypress_obs::Report {
+            metrics: vec![
+                MetricSnapshot::counter("store", "loads", 7),
+                MetricSnapshot::gauge("collector", "resident_blocks", -3),
+                hist,
+            ],
+        }
+    }
+
+    #[test]
+    fn report_round_trips_every_row_kind() {
+        let r = sample_report();
+        assert_eq!(cypress_obs::Report::from_bytes(&r.to_bytes()).unwrap(), r);
+        let empty = cypress_obs::Report::default();
+        assert_eq!(
+            cypress_obs::Report::from_bytes(&empty.to_bytes()).unwrap(),
+            empty
+        );
+    }
+
+    #[test]
+    fn report_rejects_truncation_other_versions_and_oversized_counts() {
+        let bytes = sample_report().to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                cypress_obs::Report::from_bytes(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        for version in [0, REPORT_VERSION + 1] {
+            let mut b = bytes.clone();
+            b[0] = version;
+            assert!(cypress_obs::Report::from_bytes(&b).is_err(), "v{version}");
+        }
+        // A row count far beyond the input must fail before allocating.
+        for claimed in [MAX_REPORT_ITEMS + 1, u64::MAX, 1 << 40, 64] {
+            let mut e = Encoder::new();
+            e.put_u8(REPORT_VERSION);
+            e.put_uvar(claimed);
+            e.put_str("x");
+            assert!(cypress_obs::Report::from_bytes(&e.finish()).is_err());
+        }
+        // Same for a histogram's bounds count, and for a bucket count that
+        // does not match its bounds.
+        let mut e = Encoder::new();
+        e.put_u8(REPORT_VERSION);
+        e.put_uvar(1);
+        e.put_str("s");
+        e.put_str("h");
+        e.put_u8(2);
+        for _ in 0..7 {
+            e.put_uvar(0);
+        }
+        let prefix = e.finish();
+        let mut huge = Encoder::new();
+        huge.put_uvar(u64::MAX >> 1);
+        let huge = [prefix.clone(), huge.finish()].concat();
+        assert!(cypress_obs::Report::from_bytes(&huge).is_err());
+        let mut skew = Encoder::new();
+        put_u64s(&mut skew, &[10]);
+        put_u64s(&mut skew, &[1]);
+        let skew = [prefix, skew.finish()].concat();
+        assert!(cypress_obs::Report::from_bytes(&skew).is_err());
+    }
 
     #[test]
     fn uvar_round_trip_boundaries() {

@@ -117,9 +117,9 @@ pub enum SectionKind {
     MergedCtt,
     /// One rank's `Ctt` in codec bytes (rank-scoped).
     RankCtt,
-    /// Compact telemetry summary of how the job was produced (free-form
-    /// codec payload; see the umbrella crate). Optional trailing section —
-    /// readers that don't understand it skip it by frame.
+    /// How the job was produced: a `cypress_obs::Report` in its codec
+    /// (written by traced runs). Optional trailing section — readers that
+    /// don't need it skip it by frame.
     Telemetry,
 }
 

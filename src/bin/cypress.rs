@@ -26,13 +26,12 @@
 //! cypress queryd --listen ADDR --store DIR    resident query daemon: LRU cache of
 //!   [--max-jobs N] [--max-bytes B]            open containers, serves QueryRequest
 //!                                             frames until killed
-//! cypress stats <prog.mpi> -n P               op histogram + communication matrix
-//! cypress stats --connect ADDR [--json]       poll a collector's live telemetry
+//! cypress stats --connect ADDR [--json]       poll a running serve or queryd for
+//!                                             its live telemetry report
 //! cypress simulate <prog.mpi> -n P            measured vs predicted LogGP times
 //! cypress serve --listen ADDR --out FILE      collector daemon: accept rank
 //!   [--per-rank] [--timeout S]                submissions, merge incrementally,
-//!   [--stats-addr ADDR]                       write a .cytc container; optionally
-//!                                             serve live stats on a second endpoint
+//!                                             write a .cytc container
 //! cypress submit <prog.mpi> --rank R -n P     run one rank and stream its trace
 //!   --connect ADDR [--mode stream|ctt]        to a collector (with retry/backoff)
 //! ```
@@ -52,12 +51,12 @@ use cypress::net::{
     fetch_stats, spawn_tree, submit_ctt, submit_stream, Addr, ClientConfig, Collector,
     CollectorConfig, TreeConfig,
 };
+use cypress::obs::Report;
 use cypress::query::{QueryOptions, QueryResult, Strategy, Window};
 use cypress::runtime::{run_rank_with_sink, trace_program_parallel, InterpConfig};
 use cypress::simmpi::{from_raw_traces, simulate, LogGp, SimOp};
 use cypress::store::{analyze_remote, query_remote, JobStore, QueryClient, StoreConfig, StoreJob};
 use cypress::trace::codec::Codec;
-use cypress::trace::commmatrix::CommMatrix;
 use cypress::trace::raw::RawTrace;
 use cypress::trace::{ContainerView, SectionKind};
 use cypress::{write_collected_container_with, Error, Pipeline};
@@ -195,12 +194,11 @@ USAGE:
   cypress analyze diff <fileA> <fileB> [--window <start>:<end>] [--json]
   cypress analyze <sub> --connect <addr> <job>... [same options]
   cypress queryd --listen <addr> --store <dir> [--max-jobs <n>] [--max-bytes <b>]
-  cypress stats <prog.mpi> -n <procs>
   cypress stats --connect <addr> [--json]
   cypress simulate <prog.mpi> -n <procs>
   cypress serve --listen <addr> --out <file> [--per-rank] [--timeout <secs>]
                [--workers <n>] [--level fast|default|best] [--threads <n>]
-               [--stats-addr <addr>] [--tree <relays> -n <procs>]
+               [--tree <relays> -n <procs>]
   cypress submit <prog.mpi> --rank <r> -n <procs> --connect <addr>
                [--mode stream|ctt] [--attempts <n>] [--level <l>|none]
 
@@ -225,8 +223,6 @@ OPTIONS:
   --profile    print a per-stage wall-time attribution table on exit
                (implies tracing; combine with --trace-out to keep the
                timeline too)
-  --stats-addr serve: answer `cypress stats --connect` on this second
-               endpoint with live per-client collection telemetry
   --tree       serve: spawn this many relay collectors in front of the
                root (requires -n; clients submit to the printed per-shard
                leaf endpoints; unix root at unix:P puts relay k at
@@ -239,7 +235,8 @@ OPTIONS:
                unbounded)
   --listen     collector/queryd address: host:port (host:0 = ephemeral)
                or unix:<path>
-  --connect    collector or queryd address (same syntax as --listen)
+  --connect    collector or queryd address (same syntax as --listen);
+               `stats --connect` polls either daemon's telemetry report
   --timeout    serve: fail listing missing ranks after this many seconds
   --mode       submit: stream events for server-side compression (default)
                or compress locally and send the finished ctt
@@ -324,7 +321,6 @@ const TAKES_VALUE: &[&str] = &[
     "--threads",
     "--timeout",
     "--workers",
-    "--stats-addr",
     "--tree",
     "--rank",
     "--mode",
@@ -484,23 +480,12 @@ fn cmd_compress(args: &[String]) -> CliResult {
     let peak = job.peak_ctt_bytes();
     job.merge();
     // When the run traces itself, roll the compute phases (parse → merge)
-    // into a compact summary and persist it as a trailing section; the
+    // into a telemetry report and persist it as a trailing section; the
     // final encode/io spans still land in the full --trace-out timeline.
     let telemetry = if cypress::obs::trace_enabled() {
         let wall = cypress::obs::trace_now_ns().saturating_sub(t0);
         cypress::obs::trace_complete("cli", "compress", t0, wall, events);
-        let p = cypress::obs::trace_snapshot().profile("compress");
-        let threads = threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(4)
-        });
-        Some(cypress::TelemetrySummary::from_profile(
-            &p,
-            n,
-            threads as u32,
-            job.total_events(),
-        ))
+        Some(job.telemetry(&cypress::obs::trace_snapshot().profile("compress")))
     } else {
         None
     };
@@ -677,8 +662,8 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         println!("merged CTT: {vertices} vertices, {groups} rank groups");
     }
     if let Some(s) = view.find_payload(SectionKind::Telemetry) {
-        match cypress::TelemetrySummary::from_bytes(s?) {
-            Ok(t) => print!("{}", t.to_text()),
+        match Report::from_bytes(s?) {
+            Ok(t) => print!("telemetry:\n{}", t.to_text()),
             Err(e) => println!("telemetry section unreadable: {e}"),
         }
     }
@@ -896,32 +881,16 @@ fn cmd_queryd(args: &[String]) -> CliResult {
     }
 }
 
+/// Poll a running daemon — `serve` (job socket, flat or tree root) or
+/// `queryd` — for its live telemetry report.
 fn cmd_stats(args: &[String]) -> CliResult {
-    // `stats --connect ADDR` polls a running collector's live telemetry
-    // endpoint instead of profiling a local program.
-    if let Some(connect) = flag(args, "--connect") {
-        let addr = Addr::parse(&connect)?;
-        let stats = fetch_stats(&addr, std::time::Duration::from_secs(5))?;
-        if has_flag(args, "--json") {
-            println!("{}", stats.to_json());
-        } else {
-            print!("{}", stats.to_text());
-        }
-        return Ok(());
-    }
-    let (_, _, traces) = run_traces(args)?;
-    print!("{}", cypress::trace::Profile::from_traces(&traces).report());
-    let m = CommMatrix::from_traces(&traces);
-    println!(
-        "\npoint-to-point volume: {} bytes across {} edges",
-        m.total(),
-        (0..traces.len())
-            .map(|r| m.peers_of(r).len())
-            .sum::<usize>()
-    );
-    if traces.len() <= 64 {
-        println!("\nheatmap (row = sender):");
-        print!("{}", m.to_ascii());
+    let connect = flag(args, "--connect")
+        .ok_or_else(|| Error::Invalid("missing --connect <addr> of a serve or queryd".into()))?;
+    let report = fetch_stats(&Addr::parse(&connect)?, Duration::from_secs(5))?;
+    if has_flag(args, "--json") {
+        print!("{}", report.to_jsonl());
+    } else {
+        print!("{}", report.to_text());
     }
     Ok(())
 }
@@ -981,9 +950,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             );
             cfg.keep_rank_ctts = false;
         }
-        if let Some(sa) = flag(args, "--stats-addr") {
-            cfg.stats_addr = Some(Addr::parse(&sa)?);
-        }
         let tree = spawn_tree(
             &addr,
             &TreeConfig {
@@ -993,13 +959,13 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 client: ClientConfig::default(),
             },
         )?;
-        if let Some(sa) = tree.stats_addr() {
-            eprintln!("cypress collector stats endpoint on {sa} (poll with `cypress stats --connect {sa}`)");
-        }
         for (leaf, &(first, last)) in tree.leaves().iter().zip(tree.ranges()) {
             eprintln!("cypress relay for ranks {first}..{last} listening on {leaf}");
         }
-        eprintln!("cypress collector tree root on {addr} ({relays} relays, {n} ranks)");
+        eprintln!(
+            "cypress collector tree root on {} ({relays} relays, {n} ranks)",
+            tree.root_addr()
+        );
         let job = tree.join()?;
         let merged_bytes = job.merged.to_bytes().len();
         write_collected_container_with(&job, &out, false, level, threads)?;
@@ -1014,11 +980,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         return Ok(());
     }
 
-    let mut collector = Collector::bind(&addr)?;
-    if let Some(sa) = flag(args, "--stats-addr") {
-        let resolved = collector.bind_stats(&Addr::parse(&sa)?)?;
-        eprintln!("cypress collector stats endpoint on {resolved} (poll with `cypress stats --connect {resolved}`)");
-    }
+    let collector = Collector::bind(&addr)?;
     eprintln!(
         "cypress collector listening on {} (job size set by the first client)",
         collector.local_addr()?

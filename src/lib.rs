@@ -29,12 +29,10 @@
 pub mod collect;
 pub mod error;
 pub mod pipeline;
-pub mod telemetry;
 
 pub use collect::{write_collected_container, write_collected_container_with};
 pub use error::{Error, Result};
 pub use pipeline::{CompressedJob, Ingest, Pipeline, PipelineConfig};
-pub use telemetry::{StageSummary, TelemetrySummary, TELEMETRY_VERSION};
 
 pub use cypress_deflate::Level;
 pub use cypress_query::QueryOptions;

@@ -38,6 +38,7 @@ use cypress_core::{
 use cypress_cst::{analyze_program, StaticInfo};
 use cypress_deflate::Level;
 use cypress_minilang::{check_program, parse};
+use cypress_obs::{MetricSnapshot, Report, StageProfile};
 use cypress_query::{query_ctts, QueryOptions, QueryResult};
 use cypress_runtime::{run_rank_with_sink, run_ranks, trace_program_parallel, InterpConfig};
 use cypress_trace::{
@@ -373,15 +374,36 @@ impl CompressedJob {
         self.write_container_with(path, per_rank, None)
     }
 
+    /// How this job was produced, as a telemetry [`Report`]: a `job` group
+    /// (wall time, events, ranks, threads, dropped trace events) and, for
+    /// each stage of `profile`, its exclusive wall and cpu ns and span
+    /// count under scope `stage/<name>`.
+    pub fn telemetry(&self, profile: &StageProfile) -> Report {
+        let mut metrics = vec![
+            MetricSnapshot::counter("job", "wall_ns", profile.total_ns),
+            MetricSnapshot::counter("job", "events", self.total_events()),
+            MetricSnapshot::counter("job", "nprocs", self.nprocs.into()),
+            MetricSnapshot::counter("job", "threads", self.threads as u64),
+            MetricSnapshot::counter("job", "dropped_events", profile.dropped),
+        ];
+        for s in &profile.stages {
+            let scope = format!("stage/{}", s.stage);
+            metrics.push(MetricSnapshot::counter(&scope, "wall_ns", s.wall_ns));
+            metrics.push(MetricSnapshot::counter(&scope, "cpu_ns", s.cpu_ns));
+            metrics.push(MetricSnapshot::counter(&scope, "spans", s.spans));
+        }
+        Report { metrics }
+    }
+
     /// [`CompressedJob::write_container`] with an optional telemetry
-    /// summary persisted as a trailing [`SectionKind::Telemetry`] section
-    /// (see [`crate::telemetry`]), so `cypress inspect` can report how the
-    /// job was produced.
+    /// [`Report`] (see [`CompressedJob::telemetry`]) persisted as a
+    /// trailing [`SectionKind::Telemetry`] section, so `cypress inspect`
+    /// can report how the job was produced.
     pub fn write_container_with(
         &mut self,
         path: impl AsRef<Path>,
         per_rank: bool,
-        telemetry: Option<&crate::telemetry::TelemetrySummary>,
+        telemetry: Option<&Report>,
     ) -> Result<()> {
         self.merge();
         let mut c = Container::new(self.nprocs);
@@ -489,6 +511,50 @@ mod tests {
                 "rank {rank}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn telemetry_section_round_trips_as_report() {
+        let dir = std::env::temp_dir().join(format!("cypress-telemetry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("job.cytc");
+        let mut job = Pipeline::new(STENCIL).ranks(4).run().unwrap();
+        let profile = StageProfile {
+            total_ns: 12_345_678,
+            stages: vec![
+                cypress_obs::StageRow {
+                    stage: "ingest".into(),
+                    wall_ns: 9_000_000,
+                    cpu_ns: 30_000_000,
+                    spans: 1,
+                },
+                cypress_obs::StageRow {
+                    stage: "(untraced)".into(),
+                    wall_ns: 3_345_678,
+                    cpu_ns: 3_345_678,
+                    spans: 1,
+                },
+            ],
+            ranks: Vec::new(),
+            dropped: 0,
+        };
+        let report = job.telemetry(&profile);
+        assert_eq!(
+            report.value("job", "events"),
+            Some(job.total_events() as i64)
+        );
+        assert_eq!(report.value("job", "nprocs"), Some(4));
+        assert_eq!(report.value("stage/ingest", "cpu_ns"), Some(30_000_000));
+        assert_eq!(report.value("stage/(untraced)", "spans"), Some(1));
+        let text = report.to_text();
+        assert!(text.contains("stage/ingest") && text.contains("wall_ns"));
+
+        job.write_container_with(&path, false, Some(&report))
+            .unwrap();
+        let container = Container::read_file(&path).unwrap();
+        let payload = &container.find(SectionKind::Telemetry).unwrap().payload;
+        assert_eq!(Report::from_bytes(payload).unwrap(), report);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,14 +3,14 @@
 //! ragged shard sizes) produce a root job whose merged CTT is
 //! **byte-identical** to `merge_all` over locally-compressed ranks, and a
 //! dead relay fails loudly — naming its shard's missing ranks — instead of
-//! hanging.
+//! hanging. The root and every relay answer stats polls mid-job.
 
 use cypress::core::merge_all;
 use cypress::cst::analyze_program;
 use cypress::minilang::{check_program, parse};
 use cypress::net::{
-    spawn_tree, submit_stream, Addr, ClientConfig, CollectedJob, CollectorConfig, NetError, Tree,
-    TreeConfig,
+    fetch_stats, spawn_tree, submit_stream, Addr, ClientConfig, CollectedJob, CollectorConfig,
+    NetError, Tree, TreeConfig,
 };
 use cypress::runtime::{run_rank_with_sink, InterpConfig};
 use cypress::trace::Codec;
@@ -186,4 +186,66 @@ fn dead_relay_fails_loudly_with_missing_ranks() {
     for r in ["4", "5", "6", "7"] {
         assert!(msg.contains(r), "missing rank {r} not named: {msg}");
     }
+}
+
+#[test]
+fn tree_root_and_relays_answer_stats_polls() {
+    let nprocs = 8u32;
+    let prog = parse(STENCIL).unwrap();
+    check_program(&prog).unwrap();
+    let info = analyze_program(&prog);
+    let cst_text = info.cst.to_text();
+    let tree = spawn_tree(&Addr::parse("127.0.0.1:0").unwrap(), &tree_cfg(2, nprocs)).unwrap();
+    let poll = |addr: &Addr| fetch_stats(addr, Duration::from_secs(5)).unwrap();
+    let submit = |rank: u32| {
+        submit_stream(
+            tree.leaf_for_rank(rank),
+            &client_cfg(),
+            rank,
+            nprocs,
+            &cst_text,
+            |sink| {
+                run_rank_with_sink(&prog, &info, rank, nprocs, &InterpConfig::default(), {
+                    #[allow(clippy::needless_borrow)]
+                    &mut &mut *sink
+                })
+                .map_err(|e| e.to_string())
+            },
+        )
+        .unwrap()
+    };
+
+    // Shard 0 (ranks 0..4) completes; its relay forwards one aligned block.
+    for rank in 0..4 {
+        submit(rank);
+    }
+    let t0 = std::time::Instant::now();
+    let root = loop {
+        let r = poll(tree.root_addr());
+        if r.value("collector", "ranks_done") == Some(4) {
+            break r;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "root never saw shard 0"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(root.value("collector", "nprocs"), Some(nprocs as i64));
+    assert_eq!(root.value("collector", "resident_blocks"), Some(1));
+    assert_eq!(root.value("collector", "merge_depth"), Some(2));
+    // The root's clients are relays forwarding blocks, not rank submissions.
+    assert_eq!(root.value("collector", "clients_merged"), Some(0));
+    assert!(root.value("collector", "events_total").unwrap() > 0);
+
+    // The idle relay answers too: nobody has said Hello to it yet.
+    let idle = poll(&tree.leaves()[1]);
+    assert_eq!(idle.value("collector", "nprocs"), Some(0));
+    assert_eq!(idle.value("collector", "ranks_done"), Some(0));
+
+    for rank in 4..nprocs {
+        submit(rank);
+    }
+    let job = tree.join().unwrap();
+    assert_matches_local(&job, STENCIL, nprocs);
 }

@@ -3,8 +3,8 @@
 //! zero-copy store ([`cypress::store::JobStore`]), and the resident daemon
 //! must produce byte-identical answers — same canonical wire bytes, same
 //! JSON.
-//! Also pins the analysis frames and both directions of frame-code
-//! compatibility on the query port.
+//! Also pins the analysis frames, the stats frame, and both directions of
+//! frame-code compatibility on the query port.
 
 use cypress::analysis::AnalyzeOptions;
 use cypress::net::proto::{codes, read_frame, write_frame, Frame};
@@ -252,5 +252,59 @@ fn unknown_frame_gets_error_reply_and_connection_survives() {
         }
         other => panic!("expected analyze response, got {}", other.name()),
     }
+    server.stop();
+}
+
+/// queryd answers the same stats frame as a collector: the store's
+/// counters as a `store` report, with the connection kept open for
+/// queries afterwards.
+#[test]
+fn stats_request_reports_store_counters_and_connection_survives() {
+    let (_tmp, store, server) = serve_one("stats", "jacobi");
+    query_remote(
+        server.addr(),
+        "jacobi",
+        &QueryOptions::default(),
+        Duration::from_secs(20),
+    )
+    .unwrap();
+    let mut s = Stream::connect(server.addr(), Duration::from_secs(5)).unwrap();
+    s.set_io_timeout(Duration::from_secs(20)).unwrap();
+    write_frame(&mut s, &Frame::StatsRequest).unwrap();
+    let report = match read_frame(&mut s).unwrap() {
+        Frame::Stats { report } => report,
+        other => panic!("expected stats, got {}", other.name()),
+    };
+    let want = store.stats();
+    assert_eq!(want.loads, 1);
+    let rows = [
+        ("hits", want.hits as i64),
+        ("misses", want.misses as i64),
+        ("evictions", want.evictions as i64),
+        ("loads", want.loads as i64),
+        ("resident_jobs", want.resident_jobs as i64),
+        ("resident_bytes", want.resident_bytes as i64),
+    ];
+    assert_eq!(report.metrics.len(), rows.len());
+    for (name, value) in rows {
+        assert_eq!(report.value("store", name), Some(value), "store/{name}");
+    }
+
+    // The same connection still serves a query, which hits the resident job.
+    write_frame(
+        &mut s,
+        &Frame::QueryRequest {
+            job: "jacobi".into(),
+            options: QueryOptions::default().to_bytes(),
+        },
+    )
+    .unwrap();
+    match read_frame(&mut s).unwrap() {
+        Frame::QueryResponse { .. } => {}
+        other => panic!("expected query response, got {}", other.name()),
+    }
+    let after = cypress::net::fetch_stats(server.addr(), Duration::from_secs(5)).unwrap();
+    assert_eq!(after.value("store", "hits"), Some(want.hits as i64 + 1));
+    assert_eq!(after, store.stats().to_report());
     server.stop();
 }
